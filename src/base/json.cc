@@ -1,9 +1,11 @@
 #include "base/json.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace mapinv {
 namespace {
@@ -336,27 +338,74 @@ void Json::Set(std::string_view key, Json value) {
   object_.emplace_back(std::string(key), std::move(value));
 }
 
+namespace {
+
+constexpr uint64_t kLaneOnes = 0x0101010101010101ULL;
+constexpr uint64_t kLaneHighs = 0x8080808080808080ULL;
+
+bool NeedsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+// The 8 bytes at `p` as an integer whose low byte is p[0], on any host.
+uint64_t LoadLittleEndian64(const char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+// Sets the high bit of each byte lane of `word` that needs an escape. Lanes
+// above a marked lane may be marked falsely (a borrow runs upward), but the
+// lowest marked lane is always a true match.
+uint64_t EscapeLanes(uint64_t word) {
+  const uint64_t quote = word ^ (kLaneOnes * '"');
+  const uint64_t backslash = word ^ (kLaneOnes * '\\');
+  return (((word - kLaneOnes * 0x20) & ~word) |
+          ((quote - kLaneOnes) & ~quote) |
+          ((backslash - kLaneOnes) & ~backslash)) &
+         kLaneHighs;
+}
+
+// The first byte in [p, end) that needs an escape, or `end`.
+const char* NextEscape(const char* p, const char* end) {
+  for (; end - p >= 8; p += 8) {
+    const uint64_t lanes = EscapeLanes(LoadLittleEndian64(p));
+    if (lanes != 0) return p + std::countr_zero(lanes) / 8;
+  }
+  while (p != end && !NeedsEscape(static_cast<unsigned char>(*p))) ++p;
+  return p;
+}
+
+void AppendEscape(unsigned char c, std::string* out) {
+  switch (c) {
+    case '"': *out += "\\\""; break;
+    case '\\': *out += "\\\\"; break;
+    case '\b': *out += "\\b"; break;
+    case '\f': *out += "\\f"; break;
+    case '\n': *out += "\\n"; break;
+    case '\r': *out += "\\r"; break;
+    case '\t': *out += "\\t"; break;
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+      out->append(escaped, sizeof(escaped));
+    }
+  }
+}
+
+}  // namespace
+
 void Json::EscapeTo(std::string_view s, std::string* out) {
   out->push_back('"');
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(raw);
-        }
-    }
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (true) {
+    const char* next = NextEscape(p, end);
+    out->append(p, next);
+    if (next == end) break;
+    AppendEscape(static_cast<unsigned char>(*next), out);
+    p = next + 1;
   }
   out->push_back('"');
 }

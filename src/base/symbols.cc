@@ -1,7 +1,10 @@
 #include "base/symbols.h"
 
 #include <deque>
+#include <limits>
 #include <mutex>
+
+#include "base/parse.h"
 
 namespace mapinv {
 
@@ -112,6 +115,18 @@ std::string FunctionName(FunctionId f) {
     return SyntheticFunctionPool().Name(f & ~kSyntheticIdBit, "", "%");
   }
   return std::string(FunctionPool().Text(f));
+}
+
+std::optional<uint64_t> GeneratedVarOrdinal(std::string_view name) {
+  if (name.empty() || name[0] != '?') return std::nullopt;
+  size_t pos = name.size();
+  while (pos > 1 && name[pos - 1] >= '0' && name[pos - 1] <= '9') --pos;
+  uint64_t ordinal = 0;
+  if (!ParseUint(name.substr(pos), std::numeric_limits<int64_t>::max(),
+                 &ordinal)) {
+    return std::nullopt;
+  }
+  return ordinal;
 }
 
 uint32_t SyntheticVarPrefixId(std::string_view prefix) {

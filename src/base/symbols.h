@@ -16,6 +16,7 @@
 #define MAPINV_BASE_SYMBOLS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -78,6 +79,11 @@ RelName InternRelation(std::string_view name);
 /// Returns a relation name's text as a view into the pool (valid for the
 /// process lifetime; no copy — this is the chase/eval hot-path accessor).
 std::string_view RelationText(RelName r);
+
+/// The ordinal n a variable spelled like a generated one ("?<prefix><n>")
+/// carries, or nullopt for any other spelling. An ordinal too large to
+/// parse is also nullopt: no context will ever generate it.
+std::optional<uint64_t> GeneratedVarOrdinal(std::string_view name);
 
 /// \brief Generates fresh variables "?<prefix><n>" from a SymbolContext
 /// (the process-global context when none is given).

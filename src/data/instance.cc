@@ -525,23 +525,51 @@ Status Instance::UnionWith(const Instance& other) {
 }
 
 std::string Instance::ToString() const {
-  std::vector<std::string> rendered;
+  // Every fact is rendered once, end to end, into `facts`. The sort moves
+  // small entries keyed by the first 8 bytes of each rendering, read
+  // big-endian (zero-padded) so that integer order is byte order, and
+  // compares whole renderings only when those keys tie.
+  struct Entry {
+    uint64_t key;
+    size_t begin;
+    size_t size;
+  };
+  std::string facts;
+  std::vector<Entry> entries;
+  entries.reserve(TotalSize());
   ForEachFact([&](RelationId r, RowView row) {
-    std::string s = schema_->name(r) + "(";
+    const size_t begin = facts.size();
+    facts += schema_->name(r);
+    facts.push_back('(');
     for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) s += ",";
-      // Quote spellings that would not read back as the same constant
-      // (non-identifier characters, null-shaped _N<digits>, ...).
-      s += RenderFactValue(row[i]);
+      if (i > 0) facts.push_back(',');
+      AppendFactValue(row[i], &facts);
     }
-    s += ")";
-    rendered.push_back(std::move(s));
+    facts.push_back(')');
+    const size_t size = facts.size() - begin;
+    uint64_t key = 0;
+    for (size_t i = 0; i < std::min<size_t>(size, 8); ++i) {
+      key |= uint64_t{static_cast<unsigned char>(facts[begin + i])}
+             << (56 - 8 * i);
+    }
+    entries.push_back(Entry{key, begin, size});
   });
-  std::sort(rendered.begin(), rendered.end());
-  std::string out = "{ ";
-  for (size_t i = 0; i < rendered.size(); ++i) {
+  const char* base = facts.data();
+  std::sort(entries.begin(), entries.end(),
+            [base](const Entry& a, const Entry& b) {
+              if (a.key != b.key) return a.key < b.key;
+              // Equal keys mean equal leading bytes, up to the shorter size.
+              const size_t skip = std::min({a.size, b.size, size_t{8}});
+              return std::string_view(base + a.begin + skip, a.size - skip) <
+                     std::string_view(base + b.begin + skip, b.size - skip);
+            });
+  std::string out;
+  // "{ " + facts joined by ", " + " }"; the empty instance is "{  }".
+  out.reserve(facts.size() + 2 * std::max<size_t>(entries.size(), 1) + 2);
+  out += "{ ";
+  for (size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out += ", ";
-    out += rendered[i];
+    out.append(base + entries[i].begin, entries[i].size);
   }
   out += " }";
   return out;

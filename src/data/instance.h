@@ -381,8 +381,13 @@ class Instance {
   /// resolved against this instance's schema.
   Status UnionWith(const Instance& other);
 
-  /// Deterministic rendering: relations and tuples sorted lexicographically,
-  /// e.g. "{ R(1,2), R(3,4), S(2,5) }".
+  /// Deterministic rendering in the parser's instance syntax: each fact
+  /// renders as `name(v1,...,vk)` (values as AppendFactValue spells them),
+  /// and the facts are sorted by the bytes of their rendering, compared as
+  /// unsigned, then joined by ", " inside "{ " ... " }", e.g.
+  /// "{ R(1,2), R(3,4), S(2,5) }". The order is of the rendered bytes, not
+  /// of relations or values: "R(9)" sorts before "R1(0)" only because '('
+  /// precedes '1'.
   std::string ToString() const;
 
  private:

@@ -118,36 +118,11 @@ inline std::string RenderTermValue(Value v) {
   return "'" + s + "'";
 }
 
-/// \brief Renders a value in the parser's *instance* syntax, where bare
-/// identifiers are constant spellings: numbers and identifier-shaped
+/// \brief Appends `v` to `out` in the parser's *instance* syntax, where
+/// bare identifiers are constant spellings: numbers and identifier-shaped
 /// spellings stay bare (except the _N<digits> pattern, which would read
 /// back as a labelled null) and everything else is single-quoted.
-inline std::string RenderFactValue(Value v) {
-  std::string s = v.ToString();
-  if (v.is_null()) return s;
-  bool numeric = !s.empty();
-  for (char c : s) {
-    if (c < '0' || c > '9') numeric = false;
-  }
-  if (numeric) return s;
-  auto is_ident_char = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_';
-  };
-  bool ident = !s.empty() && !(s[0] >= '0' && s[0] <= '9');
-  for (char c : s) {
-    if (!is_ident_char(c)) ident = false;
-  }
-  if (ident && s.size() > 2 && s[0] == '_' && s[1] == 'N') {
-    bool null_shaped = true;
-    for (size_t i = 2; i < s.size(); ++i) {
-      if (s[i] < '0' || s[i] > '9') null_shaped = false;
-    }
-    if (null_shaped) ident = false;  // would read back as a null
-  }
-  if (ident) return s;
-  return "'" + s + "'";
-}
+void AppendFactValue(Value v, std::string* out);
 
 }  // namespace mapinv
 

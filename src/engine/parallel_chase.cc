@@ -455,4 +455,34 @@ SymbolContext& ResolveSymbols(const ExecutionOptions& options,
   return *options.symbols;
 }
 
+namespace {
+
+void BumpVarsPast(const std::vector<Atom>& atoms, SymbolContext* symbols) {
+  std::vector<VarId> vars;
+  for (const Atom& atom : atoms) atom.CollectVars(&vars);
+  for (VarId v : vars) {
+    if (std::optional<uint64_t> ordinal = GeneratedVarOrdinal(VarName(v))) {
+      symbols->BumpVarPast(*ordinal);
+    }
+  }
+}
+
+}  // namespace
+
+SymbolContext& ResolveSymbols(const ExecutionOptions& options,
+                              const std::vector<Atom>& atoms) {
+  if (options.symbols == nullptr) return SymbolContext::Global();
+  BumpVarsPast(atoms, options.symbols);
+  return *options.symbols;
+}
+
+SymbolContext& ResolveSymbols(const ExecutionOptions& options,
+                              const SOTgd& so) {
+  if (options.symbols == nullptr) return SymbolContext::Global();
+  for (const SORule& rule : so.rules) {
+    BumpVarsPast(rule.premise, options.symbols);
+  }
+  return *options.symbols;
+}
+
 }  // namespace mapinv

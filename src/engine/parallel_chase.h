@@ -47,6 +47,7 @@
 #include "engine/execution_options.h"
 #include "eval/hom.h"
 #include "logic/cq.h"
+#include "logic/so_tgd.h"
 
 namespace mapinv {
 
@@ -146,6 +147,19 @@ Result<TriggerBatch> CollectTriggersDelta(
 /// can never re-issue a label already present in the data it extends.
 SymbolContext& ResolveSymbols(const ExecutionOptions& options,
                               const Instance& input);
+
+/// \brief Resolves the fresh-symbol scope for an operation generating
+/// variables beside those of `atoms`: the process-global context when
+/// `options.symbols` is null, otherwise `options.symbols` bumped past the
+/// ordinal of every variable of `atoms` spelled like a generated one ("?u3"
+/// reserves 3), so no generated variable renders like one the input spells.
+SymbolContext& ResolveSymbols(const ExecutionOptions& options,
+                              const std::vector<Atom>& atoms);
+
+/// \brief As above, over the premises of `so`'s rules (which hold every
+/// variable of a valid plain SO-tgd).
+SymbolContext& ResolveSymbols(const ExecutionOptions& options,
+                              const SOTgd& so);
 
 }  // namespace mapinv
 

@@ -57,7 +57,10 @@ Result<SOTgdMapping> ComposeSOTgds(const SOTgdMapping& first,
   out.source = first.source;
   out.target = second.target;
 
-  FreshVarGen gen("m");
+  // Unification binds every variable of `second` to a renamed-apart term
+  // of `first`, so only fresh variables reach the output and no bump past
+  // the inputs' spellings is needed.
+  FreshVarGen gen("m", options.symbols);
   size_t produced = 0;
 
   // Composed rules are appended whole at the recursion leaves, so stopping
@@ -136,8 +139,10 @@ Result<SOTgdMapping> ComposeSOTgds(const SOTgdMapping& first,
 Result<SOTgdMapping> ComposeTgdMappings(const TgdMapping& first,
                                         const TgdMapping& second,
                                         const ExecutionOptions& options) {
-  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so1, TgdsToPlainSOTgd(first));
-  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so2, TgdsToPlainSOTgd(second));
+  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so1,
+                          TgdsToPlainSOTgd(first, options.symbols));
+  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so2,
+                          TgdsToPlainSOTgd(second, options.symbols));
   return ComposeSOTgds(so1, so2, options);
 }
 

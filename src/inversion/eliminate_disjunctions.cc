@@ -75,7 +75,8 @@ Result<ReverseMapping> EliminateDisjunctions(ReverseMapping recovery,
       for (ReverseDisjunct& d : dep.disjuncts) {
         disjunct_atoms.push_back(std::move(d.atoms));
       }
-      product = ProductOfMany(dep.constant_vars, disjunct_atoms);
+      product =
+          ProductOfMany(dep.constant_vars, disjunct_atoms, options.symbols);
     }
     if (product.empty()) continue;  // empty product: drop the dependency
     ReverseDisjunct single;

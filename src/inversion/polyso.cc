@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "engine/failpoint.h"
+#include "engine/parallel_chase.h"
 #include "engine/trace.h"
 #include "rewrite/skolemize.h"
 
@@ -200,7 +201,7 @@ Result<SOInverseMapping> PolySOInverse(const SOTgdMapping& mapping,
   out.source = mapping.target;
   out.target = mapping.source;
 
-  FreshVarGen gen("u");
+  FreshVarGen gen("u", &ResolveSymbols(options, mapping.so));
   std::set<std::string> emitted;  // canonical dedup of output rules
   // kPartial degrades at whole-rule granularity: an inverse rule missing
   // disjuncts would be unsound (fewer disjuncts = fewer worlds = a stronger
@@ -287,7 +288,8 @@ Result<SOInverseMapping> PolySOInverse(const SOTgdMapping& mapping,
 
 Result<SOInverseMapping> PolySOInverseOfTgds(const TgdMapping& mapping,
                                              const ExecutionOptions& options) {
-  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so, TgdsToPlainSOTgd(mapping));
+  MAPINV_ASSIGN_OR_RETURN(SOTgdMapping so,
+                          TgdsToPlainSOTgd(mapping, options.symbols));
   return PolySOInverse(so, options);
 }
 

@@ -8,10 +8,11 @@ namespace mapinv {
 
 std::vector<Atom> ProductOfDisjuncts(const std::vector<VarId>& shared_free,
                                      const std::vector<Atom>& q1,
-                                     const std::vector<Atom>& q2) {
+                                     const std::vector<Atom>& q2,
+                                     SymbolContext* symbols) {
   std::unordered_set<VarId> free_set(shared_free.begin(), shared_free.end());
   std::map<std::pair<VarId, VarId>, VarId> pair_var;
-  FreshVarGen gen("p");
+  FreshVarGen gen("p", symbols);
   auto f = [&](VarId y, VarId z) -> VarId {
     if (y == z && free_set.contains(y)) return y;
     auto [it, inserted] = pair_var.emplace(std::make_pair(y, z), 0);
@@ -38,12 +39,13 @@ std::vector<Atom> ProductOfDisjuncts(const std::vector<VarId>& shared_free,
 }
 
 std::vector<Atom> ProductOfMany(const std::vector<VarId>& shared_free,
-                                const std::vector<std::vector<Atom>>& queries) {
+                                const std::vector<std::vector<Atom>>& queries,
+                                SymbolContext* symbols) {
   if (queries.empty()) return {};
   std::vector<Atom> acc = queries[0];
   for (size_t i = 1; i < queries.size(); ++i) {
     if (acc.empty()) return {};
-    acc = ProductOfDisjuncts(shared_free, acc, queries[i]);
+    acc = ProductOfDisjuncts(shared_free, acc, queries[i], symbols);
   }
   return acc;
 }

@@ -24,15 +24,19 @@
 namespace mapinv {
 
 /// \brief Computes Q₁ × Q₂ for equality-free disjuncts sharing the free
-/// tuple `shared_free`. Returns the product's atoms (possibly empty).
+/// tuple `shared_free`. Returns the product's atoms (possibly empty). Fresh
+/// variables ("?p<n>") come from `symbols` (the process-global context when
+/// null).
 std::vector<Atom> ProductOfDisjuncts(const std::vector<VarId>& shared_free,
                                      const std::vector<Atom>& q1,
-                                     const std::vector<Atom>& q2);
+                                     const std::vector<Atom>& q2,
+                                     SymbolContext* symbols = nullptr);
 
 /// \brief Left fold of ProductOfDisjuncts over β₁, ..., β_k (k ≥ 1).
 /// Returns empty atoms if any intermediate product is empty.
 std::vector<Atom> ProductOfMany(const std::vector<VarId>& shared_free,
-                                const std::vector<std::vector<Atom>>& queries);
+                                const std::vector<std::vector<Atom>>& queries,
+                                SymbolContext* symbols = nullptr);
 
 }  // namespace mapinv
 

@@ -15,14 +15,8 @@ namespace {
 // re-parsing printed output can never collide with variables generated
 // later in the process.
 VarId InternParsedVar(const std::string& name) {
-  if (!name.empty() && name[0] == '?') {
-    size_t pos = name.size();
-    while (pos > 1 && isdigit(static_cast<unsigned char>(name[pos - 1]))) {
-      --pos;
-    }
-    if (pos < name.size()) {
-      FreshVarGen::BumpPast(std::stoull(name.substr(pos)));
-    }
+  if (std::optional<uint64_t> ordinal = GeneratedVarOrdinal(name)) {
+    FreshVarGen::BumpPast(*ordinal);
   }
   return InternVar(name);
 }

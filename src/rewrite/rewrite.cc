@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "engine/failpoint.h"
+#include "engine/parallel_chase.h"
 #include "engine/trace.h"
 #include "eval/containment.h"
 #include "logic/substitution.h"
@@ -98,7 +99,7 @@ Result<UnionCq> RewriteAgainstRules(const SOTgd& skolemized,
   // single budget with the other stages), else resolved here.
   ExecDeadline entry_deadline(options.deadline_ms);
   const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
-  FreshVarGen gen("r", options.symbols);
+  FreshVarGen gen("r", &ResolveSymbols(options, target_query.atoms));
   size_t produced = 0;
 
   std::function<Status(size_t, std::vector<std::pair<Term, Term>>,

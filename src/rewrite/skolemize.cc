@@ -4,9 +4,10 @@
 
 namespace mapinv {
 
-SOTgd SkolemizeTgds(const std::vector<Tgd>& tgds, SkolemArgs args) {
+SOTgd SkolemizeTgds(const std::vector<Tgd>& tgds, SkolemArgs args,
+                    SymbolContext* symbols) {
   SOTgd out;
-  FreshFunctionGen gen("sk");
+  FreshFunctionGen gen("sk", symbols);
   for (const Tgd& tgd : tgds) {
     std::vector<VarId> arg_vars = (args == SkolemArgs::kAllPremiseVars)
                                       ? tgd.PremiseVars()
@@ -38,7 +39,8 @@ SOTgd SkolemizeTgds(const std::vector<Tgd>& tgds, SkolemArgs args) {
   return out;
 }
 
-Result<SOTgdMapping> TgdsToPlainSOTgd(const TgdMapping& mapping) {
+Result<SOTgdMapping> TgdsToPlainSOTgd(const TgdMapping& mapping,
+                                      SymbolContext* symbols) {
   MAPINV_RETURN_NOT_OK(mapping.Validate());
   // A tgd with an empty frontier and an existential-only conclusion still
   // Skolemises fine: the Skolem functions take all premise variables, which
@@ -46,7 +48,7 @@ Result<SOTgdMapping> TgdsToPlainSOTgd(const TgdMapping& mapping) {
   SOTgdMapping out;
   out.source = mapping.source;
   out.target = mapping.target;
-  out.so = SkolemizeTgds(mapping.tgds, SkolemArgs::kAllPremiseVars);
+  out.so = SkolemizeTgds(mapping.tgds, SkolemArgs::kAllPremiseVars, symbols);
   MAPINV_RETURN_NOT_OK(out.Validate());
   return out;
 }

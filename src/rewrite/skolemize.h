@@ -23,13 +23,16 @@ namespace mapinv {
 enum class SkolemArgs { kAllPremiseVars, kFrontierVars };
 
 /// \brief Skolemises a set of tgds into plain SO-tgd rules. Skolem function
-/// names are generated fresh ("sk%<n>"); one function per (tgd, existential
-/// variable) pair.
-SOTgd SkolemizeTgds(const std::vector<Tgd>& tgds, SkolemArgs args);
+/// names are generated fresh ("sk%<n>") from `symbols` (the process-global
+/// context when null); one function per (tgd, existential variable) pair.
+SOTgd SkolemizeTgds(const std::vector<Tgd>& tgds, SkolemArgs args,
+                    SymbolContext* symbols = nullptr);
 
 /// \brief The paper's linear-time translation: tgds → plain SO-tgd mapping
-/// (Section 5.1). Uses kAllPremiseVars.
-Result<SOTgdMapping> TgdsToPlainSOTgd(const TgdMapping& mapping);
+/// (Section 5.1). Uses kAllPremiseVars; Skolem functions come from `symbols`
+/// as in SkolemizeTgds.
+Result<SOTgdMapping> TgdsToPlainSOTgd(const TgdMapping& mapping,
+                                      SymbolContext* symbols = nullptr);
 
 }  // namespace mapinv
 

@@ -655,8 +655,13 @@ void Server::ConnectionLoop(Connection* connection) {
       break;
     }
   }
-  ::close(connection->fd);
-  connection->fd = -1;
+  {
+    // Wait() and the watchdog read fd under connections_mu_; closing under
+    // it too means neither can act on a descriptor number reused since.
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    ::close(connection->fd);
+    connection->fd = -1;
+  }
   connection->done.store(true, std::memory_order_release);
 }
 

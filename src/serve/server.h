@@ -147,6 +147,8 @@ class Server {
 
  private:
   struct Connection {
+    /// Closed and reset under connections_mu_, which Wait() and the
+    /// watchdog hold to read it; the connection's own thread reads it bare.
     int fd = -1;
     std::thread thread;
     CancelToken cancel;

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 
+#include "chase/chase_tgd.h"
 #include "data/instance.h"
 #include "data/schema.h"
 #include "data/value.h"
+#include "mapgen/generators.h"
+#include "render_oracles.h"
 
 namespace mapinv {
 namespace {
@@ -279,6 +282,61 @@ TEST_F(InstanceTest, RelationAppendedToSharedSchemaBecomesUsable) {
   RelationId t = schema->Find("T");
   EXPECT_TRUE(inst.Contains(t, {Value::Int(9)}));
   EXPECT_EQ(inst.ToString(), "{ R(1,2), T(9) }");
+}
+
+// --- Instance::ToString against the reference renderer ---------------------
+
+TEST(RenderDifferentialTest, RandomMapgenInstancesAndTheirChases) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    RandomMappingConfig config;
+    config.seed = seed;
+    config.arity = 1 + static_cast<int>(seed % 3);
+    config.existential_vars = static_cast<int>(seed % 2);
+    const TgdMapping mapping = GenerateRandomMapping(config);
+    const Instance source = GenerateInstance(*mapping.source, 40, 15, seed);
+    EXPECT_EQ(source.ToString(), ReferenceInstanceToString(source))
+        << "seed " << seed;
+    Result<Instance> target = ChaseTgds(mapping, source);
+    ASSERT_TRUE(target.ok()) << target.status().ToString();
+    EXPECT_EQ(target->ToString(), ReferenceInstanceToString(*target))
+        << "seed " << seed;
+  }
+}
+
+TEST(RenderDifferentialTest, ApiBuiltSpellingsAndRelationNames) {
+  // R/R1/RR share prefixes, "R(x" renders facts that interleave with R's,
+  // Z is 0-ary, and the long name makes facts agree past their first 8
+  // bytes.
+  Schema schema{{"R", 2}, {"R1", 1}, {"RR", 1}, {"R(x", 1},
+                {"Z", 0}, {"LongRelationName", 2}};
+  const std::vector<std::string> spellings = {
+      "alice",  "Alice",      "a'b",        "two words", "x,y",
+      "f(x)",   ")",          "caf\xc3\xa9", "\xff",      "",
+      "_N12",   "_N",         "_N1a",       "_x",        "12",
+      "012",    "1a",         "123456789",  "1234567890",
+      std::string("a\0b", 3)};
+  std::vector<Value> values;
+  for (const std::string& s : spellings) {
+    values.push_back(Value::MakeConstant(s));
+  }
+  values.push_back(Value::NullWithLabel(12));
+  values.push_back(Value::NullWithLabel(3));
+
+  Instance instance(schema);
+  EXPECT_EQ(instance.ToString(), "{  }");
+  EXPECT_EQ(instance.ToString(), ReferenceInstanceToString(instance));
+  ASSERT_TRUE(instance.Add("Z", {}).ok());
+  EXPECT_EQ(instance.ToString(), "{ Z() }");
+  for (const Value& a : values) {
+    for (const char* unary : {"R1", "RR", "R(x"}) {
+      ASSERT_TRUE(instance.Add(unary, {a}).ok());
+    }
+    for (const Value& b : values) {
+      ASSERT_TRUE(instance.Add("R", {a, b}).ok());
+      ASSERT_TRUE(instance.Add("LongRelationName", {a, b}).ok());
+    }
+  }
+  EXPECT_EQ(instance.ToString(), ReferenceInstanceToString(instance));
 }
 
 }  // namespace

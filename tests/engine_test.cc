@@ -18,6 +18,7 @@
 #include "engine/eval_cache.h"
 #include "engine/execution_options.h"
 #include "engine/parallel_chase.h"
+#include "engine/request.h"
 #include "engine/thread_pool.h"
 #include "engine/trace.h"
 #include "eval/containment.h"
@@ -746,6 +747,81 @@ TEST(TraceTest, ToJsonIsBalancedAndQuotesPhaseNames) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_NE(json.find("\"name\":\"chase_tgds\""), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------------
+// Request/Response API
+
+// A response depends only on its request: every command, sent twice in one
+// process, answers the same result bytes the second time, although the
+// first round advanced every process-global counter in between. Fresh names
+// (polyso's ?u and sk%, compose's ?m, invert's ?p, the chase's nulls) must
+// come from the request's own SymbolContext.
+TEST(EngineRequestTest, EveryCommandAnswersTheSameBytesTwice) {
+  // The V rules make invert build a query product (fresh ?p variables).
+  const std::string mapping =
+      "R(x,y) -> EXISTS z . T(x,z), U(z,y)\nS(x) -> T(x,x)\n"
+      "R(x,y) -> V(x)\nR(y,x) -> V(x)";
+  const std::string instance = "{ R(1,2), R(3,4), S(5) }";
+  std::vector<EngineRequest> requests;
+  auto add = [&](const std::string& command) -> EngineRequest& {
+    EngineRequest& request = requests.emplace_back();
+    request.command = command;
+    request.mapping = mapping;
+    request.instance = instance;
+    return request;
+  };
+  add("ping");
+  add("invert");
+  add("maxrec");
+  add("polyso");
+  add("so-invert").mapping = "R(x,y) -> T(x,f(y))\nS(x) -> T(x,g(x))";
+  add("rewrite").query = "Q(x) :- T(x,y)";
+  add("exchange");
+  add("exchange-delta").delta = "{ R(6,7) }";
+  add("roundtrip");
+  add("compose").mapping2 = "T(x,y) -> V(x)\nU(x,y) -> EXISTS w . W(y,w)";
+  add("core").instance = "{ T(1,_N0), T(1,2), U(_N0,2) }";
+  EngineResponse inverse = ExecuteRequest(requests[1], ExecutionOptions());
+  ASSERT_TRUE(inverse.status.ok()) << inverse.status.ToString();
+  add("check").reverse = inverse.result;
+
+  std::vector<std::string> first;
+  for (const EngineRequest& request : requests) {
+    EngineResponse response = ExecuteRequest(request, ExecutionOptions());
+    ASSERT_TRUE(response.status.ok())
+        << request.command << ": " << response.status.ToString();
+    first.push_back(std::move(response.result));
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(ExecuteRequest(requests[i], ExecutionOptions()).result,
+              first[i])
+        << "command " << requests[i].command;
+  }
+}
+
+// Fresh variables are numbered past the ordinals of variables the input
+// already spells like generated ones, so the rendering stays unambiguous.
+TEST(EngineRequestTest, FreshVariablesClearInputSpelledOrdinals) {
+  struct Case {
+    const char* command;
+    const char* mapping;
+    const char* query;
+    const char* fresh;  // the first generated variables, past the input's
+  };
+  for (const Case& c :
+       {Case{"polyso", "R(?u0,?u1) -> T(?u1)", "", "T(?u2)"},
+        Case{"rewrite", "R(x,y), S(y,z) -> T(x,z)", "Q(?r5) :- T(?r5,y)",
+             "R(?r5,?r7)"}}) {
+    EngineRequest request;
+    request.command = c.command;
+    request.mapping = c.mapping;
+    request.query = c.query;
+    EngineResponse response = ExecuteRequest(request, ExecutionOptions());
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_NE(response.result.find(c.fresh), std::string::npos)
+        << response.result;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "render_oracles.h"
 
 namespace mapinv {
 namespace {
@@ -106,6 +107,22 @@ TEST(JsonBuildTest, TolerantReadsReturnDefaults) {
   EXPECT_EQ(json.GetString("n", "fallback"), "fallback");  // wrong kind
   EXPECT_EQ(json.Find("missing"), nullptr);
   EXPECT_EQ(Json(5).Find("anything"), nullptr);  // non-object
+}
+
+TEST(JsonEscapeTest, EveryByteAtEveryOffsetMatchesTheOracleAndRoundTrips) {
+  for (int byte = 0; byte <= 0xff; ++byte) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      std::string s(24, 'a');
+      s[offset] = static_cast<char>(byte);
+      const std::string serialized = Json(s).Serialize();
+      EXPECT_EQ(serialized, ReferenceJsonQuote(s))
+          << "byte " << byte << " at offset " << offset;
+      Result<Json> parsed = Json::Parse(serialized);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed->AsString(), s)
+          << "byte " << byte << " at offset " << offset;
+    }
+  }
 }
 
 }  // namespace

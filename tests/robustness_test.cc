@@ -3,10 +3,8 @@
 // inputs-untouched (strong exception safety) sweep over every registered
 // failpoint site.
 
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -276,49 +274,6 @@ Result<std::string> RunSweepWorkload(const TgdMapping& mapping,
   return out;
 }
 
-// Fresh-symbol names (?m3, ?u15, sk%9, _N2) draw from process-global
-// counters that a per-run SymbolContext does not reset, so two otherwise
-// identical workload runs differ in numbering alone. Renumber each prefix's
-// digit runs by first occurrence so transcripts compare structurally.
-// Digits anywhere else (constants, relation names) are left untouched.
-std::string CanonicalizeFreshNames(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  std::map<std::string, std::map<std::string, size_t>> renumber;
-  auto emit = [&](const std::string& prefix, size_t digits_begin) -> size_t {
-    size_t j = digits_begin;
-    while (j < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[j]))) {
-      ++j;
-    }
-    out += prefix;
-    if (j == digits_begin) return j;  // bare prefix, nothing to renumber
-    std::map<std::string, size_t>& seen = renumber[prefix];
-    auto [it, inserted] =
-        seen.emplace(text.substr(digits_begin, j - digits_begin), seen.size());
-    out += std::to_string(it->second);
-    return j;
-  };
-  size_t i = 0;
-  while (i < text.size()) {
-    if (text[i] == '?') {
-      size_t j = i + 1;
-      while (j < text.size() &&
-             std::isalpha(static_cast<unsigned char>(text[j]))) {
-        ++j;
-      }
-      i = emit(text.substr(i, j - i), j);
-    } else if (text.compare(i, 3, "sk%") == 0) {
-      i = emit("sk%", i + 3);
-    } else if (text.compare(i, 2, "_N") == 0) {
-      i = emit("_N", i + 2);
-    } else {
-      out += text[i++];
-    }
-  }
-  return out;
-}
-
 class FailPointSweep : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -410,8 +365,7 @@ TEST_F(FailPointSweep, EverySiteFailsCleanAndLeavesInputsUntouched) {
       Result<std::string> rerun =
           RunSweepWorkload(mapping_, second_, source_, vectorized);
       ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-      EXPECT_EQ(CanonicalizeFreshNames(*rerun),
-                CanonicalizeFreshNames(*baseline));
+      EXPECT_EQ(*rerun, *baseline);
     }
   }
 }
