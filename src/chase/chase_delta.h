@@ -42,11 +42,13 @@ namespace mapinv {
 /// treat false as "retry the whole delta later").
 ///
 /// `provenance` (may be null) receives the producing tgd index of every row
-/// fired. Satisfaction checks and fresh-null assignment follow ChaseTgds
-/// exactly: with options.oblivious every delta trigger fires; otherwise a
-/// trigger whose conclusion is already satisfied in the growing target is
-/// skipped. Deterministic for a fixed (source, base, target) input,
-/// independent of thread count.
+/// fired. ChaseDelta and ChaseTgds are one driver (chase_tgd.cc) that
+/// differ only in the trigger collector, so satisfaction checks, fresh-null
+/// assignment, limits and degradation are ChaseTgds': with
+/// options.oblivious every delta trigger fires; otherwise a trigger whose
+/// conclusion is already satisfied in the growing target is skipped.
+/// Deterministic for a fixed (source, base, target) input, independent of
+/// thread count.
 Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
                         const DeltaWatermark& base, Instance* target,
                         ChaseProvenance* provenance,

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "base/bytes.h"
 #include "base/symbols.h"
 #include "chase/fire_plan.h"
 #include "engine/failpoint.h"
@@ -105,11 +106,7 @@ Result<Instance> ChaseSOTgd(const SOTgdMapping& mapping, const Instance& source,
   SkolemTable skolems(symbols);
   HomSearch search(source);
   search.set_stats(options.stats);
-  search.set_vector_max_plan_steps(options.vector_max_plan_steps);
-  size_t created = 0;
-  std::vector<Value> scratch;  // reused row buffer for AddRow
-  // kPartial degrades at whole-trigger granularity (see ChaseTgds).
-  bool cut_short = false;
+  FireRun run{options, deadline, "chase_so", fp_so_fire, &target};
   for (const SORule& rule : mapping.so.rules) {
     // Parallel trigger collection; the Skolem-firing phase stays sequential
     // so null labels are assigned in the canonical trigger order.
@@ -136,137 +133,28 @@ Result<Instance> ChaseSOTgd(const SOTgdMapping& mapping, const Instance& source,
           target.schema().Require(RelationText(atom.relation)));
       conclusion_rels.push_back(rel);
     }
-    // The SO chase is always bulk-eligible under options.vectorized: it
-    // never probes satisfaction (chase_steps counts every trigger), and the
-    // Skolem memo reads only the source-side bindings, so term evaluation
-    // order — and with it every minted null label — is unchanged when rows
-    // are buffered per batch and appended with one AddRows pass per
-    // relation.
-    const bool bulk = options.vectorized && options.vector_batch > 0;
-    if (bulk) {
-      const size_t fire_batch = options.vector_batch;
-      BulkFireScratch bulk_scratch =
-          MakeBulkFireScratch(conclusion_rels, target.schema());
-      for (size_t base = 0; base < triggers.rows && !cut_short;
-           base += fire_batch) {
-        const size_t bcount = std::min(fire_batch, triggers.rows - base);
-        if (Status poll = PollPhaseInterrupt(options, deadline, "chase_so");
-            !poll.ok()) {
-          if (DegradeToPartial(options, poll)) {
-            cut_short = true;
-            break;
-          }
-          return poll;
-        }
-        MAPINV_FAILPOINT(fp_so_fire);
-        if (created + bcount * rule.conclusion.size() >
-            options.max_new_facts) {
-          // Budget-edge fallback, per trigger and exact (see ChaseTgds).
-          for (size_t t = base; t < base + bcount; ++t) {
-            const Value* row = triggers.Row(t);
-            if (options.stats != nullptr) {
-              options.stats->chase_steps.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            }
-            for (size_t ai = 0; ai < rule.conclusion.size(); ++ai) {
-              scratch.clear();
-              for (const Term& term : rule.conclusion[ai].terms) {
-                MAPINV_ASSIGN_OR_RETURN(
-                    Value v,
-                    EvalConclusionTerm(term, triggers.vars, row, &skolems));
-                scratch.push_back(v);
-              }
-              MAPINV_ASSIGN_OR_RETURN(
-                  bool added, target.AddRow(conclusion_rels[ai], scratch));
-              if (added) ++created;
-            }
-            if (created > options.max_new_facts) {
-              Status exhausted =
-                  PhaseExhausted("chase_so",
-                                 "exceeded max_new_facts = " +
-                                     std::to_string(options.max_new_facts));
-              if (DegradeToPartial(options, exhausted)) {
-                cut_short = true;
-                break;
-              }
-              return exhausted;
-            }
-          }
-          continue;
-        }
-        bulk_scratch.BeginBatch(bcount);
-        if (options.stats != nullptr) {
-          options.stats->chase_steps.fetch_add(bcount,
-                                               std::memory_order_relaxed);
-        }
-        for (size_t t = 0; t < bcount; ++t) {
-          const Value* row = triggers.Row(base + t);
-          for (size_t ai = 0; ai < rule.conclusion.size(); ++ai) {
-            scratch.clear();
-            for (const Term& term : rule.conclusion[ai].terms) {
-              MAPINV_ASSIGN_OR_RETURN(
-                  Value v,
-                  EvalConclusionTerm(term, triggers.vars, row, &skolems));
-              scratch.push_back(v);
-            }
-            bulk_scratch.Append(bulk_scratch.atom_buf[ai],
-                                static_cast<uint32_t>(t), scratch.data());
-          }
-        }
+    // Skolem semantics fire every trigger and mint no nulls up front: the
+    // row builder mints them per distinct (function, arguments) pair. The
+    // memo reads only source-side bindings, so building a batch's rows
+    // before appending them mints the same labels as trigger-by-trigger
+    // firing, and the bulk path always applies under options.vectorized.
+    auto build = [&](size_t i, const Value* row, const Value*,
+                     std::vector<Value>* scratch) -> Status {
+      scratch->clear();
+      for (const Term& term : rule.conclusion[i].terms) {
         MAPINV_ASSIGN_OR_RETURN(
-            size_t inserted,
-            FlushBulkFire(&target, &bulk_scratch,
-                          [](RelationId, TupleRef, uint32_t) {}));
-        created += inserted;
-        if (options.stats != nullptr) {
-          options.stats->bulk_rows_appended.fetch_add(
-              inserted, std::memory_order_relaxed);
-        }
+            Value v, EvalConclusionTerm(term, triggers.vars, row, &skolems));
+        scratch->push_back(v);
       }
-      if (cut_short) break;
-      continue;
-    }
-    for (size_t t = 0; t < triggers.rows; ++t) {
-      if (Status poll = PollPhaseInterrupt(options, deadline, "chase_so");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
-        }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_so_fire);
-      const Value* row = triggers.Row(t);
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      for (size_t ai = 0; ai < rule.conclusion.size(); ++ai) {
-        const Atom& atom = rule.conclusion[ai];
-        scratch.clear();
-        for (const Term& term : atom.terms) {
-          MAPINV_ASSIGN_OR_RETURN(
-              Value v, EvalConclusionTerm(term, triggers.vars, row, &skolems));
-          scratch.push_back(v);
-        }
-        MAPINV_ASSIGN_OR_RETURN(bool added,
-                                target.AddRow(conclusion_rels[ai], scratch));
-        if (added) ++created;
-      }
-      // Whole-trigger granularity (see ChaseTgds): checked after the trigger
-      // so a partial stop never leaves a half-fired conclusion.
-      if (created > options.max_new_facts) {
-        Status exhausted =
-            PhaseExhausted("chase_so",
-                           "exceeded max_new_facts = " +
-                               std::to_string(options.max_new_facts));
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
-        }
-        return exhausted;
-      }
-    }
-    if (cut_short) break;
+      return Status::OK();
+    };
+    MAPINV_ASSIGN_OR_RETURN(
+        const bool finished,
+        FireTriggers(&run, triggers, conclusion_rels, /*unconditional=*/true,
+                     /*num_fresh=*/0, [](Value*) {}, build,
+                     [](const Value*) -> Result<bool> { return false; },
+                     [](RelationId, TupleRef) {}));
+    if (!finished) break;
   }
   if (options.stats != nullptr) {
     options.stats->ObserveArenaBytes(target.ArenaBytes());
@@ -288,74 +176,15 @@ namespace {
 // stores constants and function symbols as *spellings* (never process-local
 // interner ids) and map entries sorted by node id, so a resumed process
 // rebuilds behaviourally identical memo tables. A trailing FNV-1a checksum
-// plus a fully bounds-checked loader turn any corruption into a clean
-// kMalformed error.
+// plus a loader that reads only through ByteReader (base/bytes.h) turn any
+// corruption into a clean kMalformed error.
 
 constexpr char kWorldMagic[8] = {'M', 'A', 'P', 'I', 'N', 'V', 'S', 'W'};
 constexpr uint32_t kWorldVersion = 1;
 
-void AppendU32(std::string& buf, uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string& buf, uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-uint64_t Fnv1a(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Status WorldMalformed(const std::string& what) {
   return Status::Malformed("symbolic world snapshot: " + what);
 }
-
-// Bounds-checked cursor over a world image (the snapshot loader's Reader
-// idiom — see data/snapshot.cc).
-class WorldReader {
- public:
-  WorldReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  Result<uint32_t> U32() {
-    uint32_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<uint8_t> U8() {
-    uint8_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<std::string_view> Bytes(size_t len) {
-    if (len > size_ - pos_) return WorldMalformed("truncated inside a field");
-    std::string_view view(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return view;
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  Status Raw(void* out, size_t len) {
-    if (len > size_ - pos_) return WorldMalformed("truncated inside a field");
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 // Values travel as tag + payload: nulls by label (stable across processes),
 // constants by spelling (re-interned on load).
@@ -371,7 +200,7 @@ void AppendValue(std::string& buf, Value v) {
   }
 }
 
-Result<Value> ReadValue(WorldReader* reader) {
+Result<Value> ReadValue(ByteReader* reader) {
   MAPINV_ASSIGN_OR_RETURN(const uint8_t tag, reader->U8());
   if (tag == 0) {
     MAPINV_ASSIGN_OR_RETURN(const uint32_t label, reader->U32());
@@ -506,7 +335,7 @@ class TermStore {
   /// synthetic id's printed name re-interns to a *different* id, so spelling
   /// round-trips alone would silently empty the memo).
   static Result<TermStore> Deserialize(
-      WorldReader* reader,
+      ByteReader* reader,
       const std::unordered_map<std::string, FunctionId>& fn_by_name) {
     TermStore store;
     MAPINV_ASSIGN_OR_RETURN(const uint32_t num_nodes, reader->U32());
@@ -617,7 +446,7 @@ std::string WorldToBytes(const World& world) {
     AppendU32(buf, static_cast<uint32_t>(f.nodes.size()));
     for (const uint32_t n : f.nodes) AppendU32(buf, n);
   }
-  AppendU64(buf, Fnv1a(buf.data(), buf.size()));
+  AppendU64(buf, Fnv1a(kFnv1aOffset, buf.data(), buf.size()));
   return buf;
 }
 
@@ -631,10 +460,12 @@ Result<World> WorldFromBytes(
   uint64_t stored_sum;
   std::memcpy(&stored_sum, bytes + image.size() - sizeof(uint64_t),
               sizeof(uint64_t));
-  if (Fnv1a(bytes, image.size() - sizeof(uint64_t)) != stored_sum) {
+  if (Fnv1a(kFnv1aOffset, bytes, image.size() - sizeof(uint64_t)) !=
+      stored_sum) {
     return WorldMalformed("checksum mismatch (torn or corrupted write)");
   }
-  WorldReader reader(bytes, image.size() - sizeof(uint64_t));
+  ByteReader reader(bytes, image.size() - sizeof(uint64_t),
+                    "symbolic world snapshot");
   MAPINV_ASSIGN_OR_RETURN(std::string_view magic,
                           reader.Bytes(sizeof(kWorldMagic)));
   if (std::memcmp(magic.data(), kWorldMagic, sizeof(kWorldMagic)) != 0) {

@@ -1,7 +1,9 @@
 #include "chase/chase_tgd.h"
 
-#include <string>
+#include <memory>
+#include <vector>
 
+#include "chase/chase_delta.h"
 #include "chase/fire_plan.h"
 #include "engine/failpoint.h"
 #include "engine/parallel_chase.h"
@@ -12,238 +14,156 @@
 namespace mapinv {
 
 namespace {
+
 FailPoint fp_chase_entry("chase_tgds/entry");
 FailPoint fp_chase_fire("chase_tgds/fire");
-}  // namespace
+FailPoint fp_delta_entry("chase_delta/entry");
+FailPoint fp_delta_fire("chase_delta/fire");
 
-Result<Instance> ChaseTgds(const TgdMapping& mapping, const Instance& source,
+// The forward tgd chase behind both entry points: ChaseTgds (base == null;
+// every trigger, from CollectTriggers) and ChaseDelta (the delta triggers
+// past *base, from CollectTriggersDelta). The two differ only in that
+// collector and in the failpoint, span and phase names they report under.
+// Fires into *target; returns false when kPartial degradation stopped it.
+Result<bool> ChaseTgdsInto(const TgdMapping& mapping, const Instance& source,
+                           const DeltaWatermark* base, Instance* target,
+                           ChaseProvenance* provenance,
                            const ExecutionOptions& options) {
-  ScopedTraceSpan span(options, "chase_tgds");
-  MAPINV_FAILPOINT(fp_chase_entry);
+  const bool delta = base != nullptr;
+  const char* const phase = delta ? "chase_delta" : "chase_tgds";
+  ScopedTraceSpan span(options, phase);
+  MAPINV_FAILPOINT(delta ? fp_delta_entry : fp_chase_entry);
   ExecDeadline entry_deadline(options.deadline_ms);
   const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
+  // The fresh-null scope must clear the source's nulls and, for a delta,
+  // the nulls the base chase already placed in the target: an engine-scoped
+  // context that restarted at zero would otherwise mint labels colliding
+  // with the maintained solution it is extending.
   SymbolContext& symbols = ResolveSymbols(options, source);
-  Instance target(mapping.target);
+  if (delta && options.symbols != nullptr) {
+    target->ForEachFact([&](RelationId, RowView row) {
+      for (const Value& v : row) {
+        if (v.is_null()) options.symbols->BumpNullPast(v.id());
+      }
+    });
+  }
   if (options.memory_budget_bytes > 0) {
-    target.SetMemoryBudget(options.memory_budget_bytes, options.spill_dir,
-                           options.stats);
+    target->SetMemoryBudget(options.memory_budget_bytes, options.spill_dir,
+                            options.stats);
   }
   HomSearch search(source);
   search.set_stats(options.stats);
-  search.set_vector_max_plan_steps(options.vector_max_plan_steps);
-  HomSearch target_search(target);
+  HomSearch target_search(*target);
   target_search.set_stats(options.stats);
-  target_search.set_vector_max_plan_steps(options.vector_max_plan_steps);
-  size_t created = 0;
-  std::vector<Value> fresh;    // per-firing nulls, one per existential var
-  std::vector<Value> scratch;  // reused row buffer for AddRow
-  // In kPartial mode exhaustion degrades at whole-trigger granularity: the
-  // current trigger's conclusion atoms all land before the loop stops, so
-  // the returned instance is the chase output of a trigger-list prefix — a
-  // sound under-approximation of the universal solution.
-  bool cut_short = false;
-  for (const Tgd& tgd : mapping.tgds) {
+  FireRun run{options, deadline, phase,
+              delta ? fp_delta_fire : fp_chase_fire, target};
+  bool complete = true;
+  for (size_t tgd_index = 0; complete && tgd_index < mapping.tgds.size();
+       ++tgd_index) {
+    const Tgd& tgd = mapping.tgds[tgd_index];
     // Collect triggers first: firing only adds target facts, so the trigger
-    // set over the (source-only) premise is not affected by firing order.
-    // Collection may fan out across threads; the trigger batch comes back in
-    // the canonical sequential order, and the firing phase below is
-    // sequential, so fresh nulls are assigned deterministically.
+    // set over the (source-only) premise is not affected by firing order,
+    // and one pass per tgd is complete. Collection may fan out across
+    // threads; the batch comes back in the canonical sequential order, and
+    // firing is sequential, so fresh nulls are assigned deterministically.
     TriggerBatch triggers;
     {
-      ScopedTraceSpan collect_span(options, "collect_triggers");
-      Result<TriggerBatch> collected = CollectTriggers(
-          search, source, tgd.premise, HomConstraints{}, options, deadline);
+      ScopedTraceSpan collect_span(
+          options, delta ? "collect_triggers_delta" : "collect_triggers");
+      Result<TriggerBatch> collected =
+          delta ? CollectTriggersDelta(search, source, tgd.premise,
+                                       HomConstraints{}, *base, options,
+                                       deadline)
+                : CollectTriggers(search, source, tgd.premise,
+                                  HomConstraints{}, options, deadline);
       if (!collected.ok()) {
-        if (DegradeToPartial(options, collected.status())) break;
+        if (DegradeToPartial(options, collected.status())) {
+          complete = false;
+          break;
+        }
         return collected.status();
       }
       triggers = std::move(collected).ValueOrDie();
     }
     ScopedTraceSpan fire_span(options, "fire");
-    // Per-tgd invariants hoisted out of the trigger loop: the frontier /
-    // existential variable sets, the compiled (column-indexed) conclusion
-    // atoms, and — on the per-trigger path — the conclusion plan (compiled
-    // once against the frontier; the satisfaction check runs it per trigger
-    // without rebuilding the plan key).
-    const std::vector<VarId> frontier_vars = tgd.FrontierVars();
     const std::vector<VarId> existential_vars = tgd.ExistentialVars();
     MAPINV_ASSIGN_OR_RETURN(
         const std::vector<FireAtomCols> fire_atoms,
-        CompileFireAtomsCols(tgd.conclusion, target.schema(), existential_vars,
-                             triggers.vars));
-    const size_t num_ex = existential_vars.size();
-    // Bulk eligibility: the batch dedup pass of AddRows subsumes the
-    // per-trigger satisfaction probe exactly when the conclusion is
-    // existential-free (a trigger is satisfied iff firing it adds nothing);
-    // the oblivious chase never probes at all. Either way the fire loop can
-    // assemble vector_batch triggers' rows and append them in one pass per
-    // relation, with identical output, chase_steps, and fresh-null labels.
-    const bool bulk = options.vectorized && options.vector_batch > 0 &&
-                      (options.oblivious || num_ex == 0);
+        CompileFireAtomsCols(tgd.conclusion, target->schema(),
+                             existential_vars, triggers.vars));
+    std::vector<RelationId> relations;
+    relations.reserve(fire_atoms.size());
+    for (const FireAtomCols& fa : fire_atoms) relations.push_back(fa.relation);
+    // The satisfaction probe runs the conclusion plan compiled against the
+    // frontier, with the frontier values read positionally from the
+    // trigger row. It is compiled at the first probe, so a tgd that fires
+    // in bulk or has no triggers compiles none.
     std::shared_ptr<const HomPlan> conclusion_plan;
-    std::vector<size_t> frontier_cols;  // fixed_vars -> trigger columns
-    if (!options.oblivious && !bulk && triggers.rows > 0) {
-      MAPINV_ASSIGN_OR_RETURN(
-          conclusion_plan,
-          target_search.GetPlanForVars(tgd.conclusion, HomConstraints{},
-                                       frontier_vars));
-      frontier_cols.reserve(conclusion_plan->fixed_vars.size());
-      for (VarId v : conclusion_plan->fixed_vars) {
-        frontier_cols.push_back(triggers.ColumnOf(v));
-      }
-    }
-    if (bulk) {
-      const size_t fire_batch = options.vector_batch;
-      BulkFireScratch bulk_scratch =
-          MakeBulkFireScratch(fire_atoms, target.schema());
-      std::vector<Value> fresh_batch;  // num_ex nulls per trigger, in order
-      for (size_t base = 0; base < triggers.rows && !cut_short;
-           base += fire_batch) {
-        const size_t bcount = std::min(fire_batch, triggers.rows - base);
-        // Interrupts and failpoints at batch granularity: failure precedes
-        // the batch's mutations, so a stop is always a whole-batch prefix.
-        if (Status poll = PollPhaseInterrupt(options, deadline, "chase_tgds");
-            !poll.ok()) {
-          if (DegradeToPartial(options, poll)) {
-            cut_short = true;
-            break;
-          }
-          return poll;
-        }
-        MAPINV_FAILPOINT(fp_chase_fire);
-        if (created + bcount * fire_atoms.size() > options.max_new_facts) {
-          // Near the budget edge, fall back to per-trigger appends so the
-          // stopping trigger is exactly the scalar path's. Firing
-          // unconditionally is equivalent: a satisfied trigger's rows all
-          // dedup away, leaving created and chase_steps untouched.
-          for (size_t t = base; t < base + bcount; ++t) {
-            const Value* row = triggers.Row(t);
-            fresh.clear();
-            for (size_t i = 0; i < num_ex; ++i) {
-              fresh.push_back(Value::FreshNull(symbols));
-            }
-            bool any_added = false;
-            for (const FireAtomCols& fa : fire_atoms) {
-              BuildFireRowCols(fa, row, fresh.data(), &scratch);
-              MAPINV_ASSIGN_OR_RETURN(bool added,
-                                      target.AddRow(fa.relation, scratch));
-              if (added) {
-                ++created;
-                any_added = true;
-              }
-            }
-            if ((options.oblivious || any_added) && options.stats != nullptr) {
-              options.stats->chase_steps.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            }
-            if (created > options.max_new_facts) {
-              Status exhausted =
-                  PhaseExhausted("chase_tgds",
-                                 "exceeded max_new_facts = " +
-                                     std::to_string(options.max_new_facts));
-              if (DegradeToPartial(options, exhausted)) {
-                cut_short = true;
-                break;
-              }
-              return exhausted;
-            }
-          }
-          continue;
-        }
-        bulk_scratch.BeginBatch(bcount);
-        fresh_batch.clear();
-        for (size_t i = 0; i < bcount * num_ex; ++i) {
-          fresh_batch.push_back(Value::FreshNull(symbols));
-        }
-        for (size_t t = 0; t < bcount; ++t) {
-          const Value* row = triggers.Row(base + t);
-          const Value* tf = fresh_batch.data() + t * num_ex;
-          for (size_t ai = 0; ai < fire_atoms.size(); ++ai) {
-            BuildFireRowCols(fire_atoms[ai], row, tf, &scratch);
-            bulk_scratch.Append(bulk_scratch.atom_buf[ai],
-                                static_cast<uint32_t>(t), scratch.data());
-          }
-        }
-        MAPINV_ASSIGN_OR_RETURN(
-            size_t inserted,
-            FlushBulkFire(&target, &bulk_scratch,
-                          [](RelationId, TupleRef, uint32_t) {}));
-        created += inserted;
-        if (options.stats != nullptr) {
-          options.stats->bulk_rows_appended.fetch_add(
-              inserted, std::memory_order_relaxed);
-          uint64_t steps = 0;
-          if (options.oblivious) {
-            steps = bcount;
-          } else {
-            for (uint8_t f : bulk_scratch.fired) steps += f;
-          }
-          options.stats->chase_steps.fetch_add(steps,
-                                               std::memory_order_relaxed);
-        }
-      }
-      if (cut_short) break;
-      continue;
-    }
+    std::vector<size_t> frontier_cols;   // fixed_vars -> trigger columns
     std::vector<Value> frontier_values;  // ordered as conclusion_plan demands
-    for (size_t t = 0; t < triggers.rows; ++t) {
-      if (Status poll = PollPhaseInterrupt(options, deadline, "chase_tgds");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
-        }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_chase_fire);
-      const Value* row = triggers.Row(t);
-      if (!options.oblivious) {
-        frontier_values.clear();
-        for (size_t col : frontier_cols) frontier_values.push_back(row[col]);
+    auto satisfied = [&](const Value* row) -> Result<bool> {
+      if (conclusion_plan == nullptr) {
         MAPINV_ASSIGN_OR_RETURN(
-            bool satisfied,
-            target_search.ExistsHomWithPlanValues(*conclusion_plan,
-                                                  frontier_values));
-        if (satisfied) continue;
-      }
-      // Fire: frontier variables keep their bindings, existential variables
-      // get fresh nulls (fresh per firing, in declaration order — the same
-      // order the pre-arena engine assigned them).
-      fresh.clear();
-      for (size_t i = 0; i < num_ex; ++i) {
-        fresh.push_back(Value::FreshNull(symbols));
-      }
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      for (const FireAtomCols& fa : fire_atoms) {
-        BuildFireRowCols(fa, row, fresh.data(), &scratch);
-        MAPINV_ASSIGN_OR_RETURN(bool added,
-                                target.AddRow(fa.relation, scratch));
-        if (added) ++created;
-      }
-      // Checked after the whole trigger fires (not per atom), so a partial
-      // stop never leaves a half-fired conclusion; overshoot is bounded by
-      // one trigger's conclusion atoms.
-      if (created > options.max_new_facts) {
-        Status exhausted =
-            PhaseExhausted("chase_tgds",
-                           "exceeded max_new_facts = " +
-                               std::to_string(options.max_new_facts));
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
+            conclusion_plan,
+            target_search.GetPlanForVars(tgd.conclusion, HomConstraints{},
+                                         tgd.FrontierVars()));
+        for (VarId v : conclusion_plan->fixed_vars) {
+          frontier_cols.push_back(triggers.ColumnOf(v));
         }
-        return exhausted;
       }
-    }
-    if (cut_short) break;
+      frontier_values.clear();
+      for (size_t col : frontier_cols) frontier_values.push_back(row[col]);
+      return target_search.ExistsHomWithPlanValues(*conclusion_plan,
+                                                   frontier_values);
+    };
+    MAPINV_ASSIGN_OR_RETURN(
+        complete,
+        FireTriggers(
+            &run, triggers, relations, options.oblivious,
+            existential_vars.size(),
+            // Existential variables get fresh nulls per firing, in
+            // declaration order; frontier variables keep their bindings.
+            [&](Value* fresh) {
+              for (size_t i = 0; i < existential_vars.size(); ++i) {
+                fresh[i] = Value::FreshNull(symbols);
+              }
+            },
+            [&](size_t i, const Value* row, const Value* fresh,
+                std::vector<Value>* scratch) {
+              BuildFireRowCols(fire_atoms[i], row, fresh, scratch);
+              return Status::OK();
+            },
+            satisfied,
+            [&](RelationId relation, TupleRef ref) {
+              if (provenance != nullptr) {
+                provenance->Record(relation, ref,
+                                   static_cast<uint32_t>(tgd_index));
+              }
+            }));
   }
   if (options.stats != nullptr) {
-    options.stats->ObserveArenaBytes(target.ArenaBytes());
-    options.stats->ObserveResidentBytes(target.ResidentBytes());
+    options.stats->ObserveArenaBytes(target->ArenaBytes());
+    options.stats->ObserveResidentBytes(target->ResidentBytes());
   }
+  return complete;
+}
+
+}  // namespace
+
+Result<Instance> ChaseTgds(const TgdMapping& mapping, const Instance& source,
+                           const ExecutionOptions& options) {
+  Instance target(mapping.target);
+  MAPINV_RETURN_NOT_OK(ChaseTgdsInto(mapping, source, /*base=*/nullptr,
+                                     &target, /*provenance=*/nullptr, options)
+                           .status());
   return target;
+}
+
+Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
+                        const DeltaWatermark& base, Instance* target,
+                        ChaseProvenance* provenance,
+                        const ExecutionOptions& options) {
+  return ChaseTgdsInto(mapping, source, &base, target, provenance, options);
 }
 
 Result<AnswerSet> CertainAnswersTgd(const TgdMapping& mapping,

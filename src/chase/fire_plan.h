@@ -1,110 +1,46 @@
 /// \file fire_plan.h
-/// \brief Precompiled conclusion atoms for the chase fire loops.
+/// \brief The forward chases' one fire loop, and the compiled conclusion
+/// atoms it fires.
 ///
-/// Firing a trigger used to resolve every conclusion atom's relation by name
-/// (an interner lookup plus a schema hash probe per fired fact) and to copy
-/// the whole trigger assignment into an extended hash map before building
-/// each tuple. This helper compiles a conclusion once per dependency:
+/// FireTriggers fires one dependency's TriggerBatch into the target. It is
+/// the only fire loop of the forward chases: ChaseTgds and ChaseDelta
+/// (chase_tgd.cc) and ChaseSOTgd (chase_so.cc) differ only in the lambdas
+/// they pass it, which mint a trigger's fresh nulls, build conclusion atom
+/// i's row, probe satisfaction and record each new row. The kernel owns
+/// the rest: the bulk path, the budget-edge per-trigger fallback, the
+/// per-trigger path with its satisfaction probe, the chase_steps and
+/// bulk_rows_appended counters, interrupt polls, the fire failpoint, the
+/// max_new_facts budget and kPartial degradation at whole-trigger
+/// granularity. The reverse chase (chase_reverse.cc) forks worlds per
+/// trigger and keeps its own loop over the same compiled atoms.
+///
+/// A conclusion compiles once per dependency (CompileFireAtomsCols):
 /// relations resolve to RelationIds up front, and every term is classified
-/// as constant / premise-bound variable / existential (by index into the
-/// dependency's existential-variable list). The fire loop then assembles
-/// rows into a reused scratch buffer and appends them with Instance::AddRow
-/// — no strings, no hash-map copies, no per-tuple allocation.
-///
-/// The column-indexed variants (FireAtomCols / BuildFireRowCols) read the
-/// trigger straight out of a TriggerBatch row instead of an Assignment hash
-/// map, and BulkFireScratch buffers a whole batch of assembled conclusion
-/// rows per relation so the chase appends them with one Instance::AddRows
-/// dedup pass per relation per batch — the bulk fire path behind
-/// ExecutionOptions::vectorized.
+/// as constant, trigger column or existential. BuildFireRowCols then
+/// assembles a row into a reused scratch buffer straight from a
+/// TriggerBatch row — no strings, no hash maps, no per-tuple allocation.
+/// BulkFireScratch buffers a whole batch of assembled rows per relation so
+/// the bulk path appends them with one Instance::AddRows dedup pass per
+/// relation per batch.
 
 #ifndef MAPINV_CHASE_FIRE_PLAN_H_
 #define MAPINV_CHASE_FIRE_PLAN_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
 #include "data/instance.h"
-#include "eval/hom.h"
+#include "engine/execution_options.h"
+#include "engine/failpoint.h"
+#include "engine/parallel_chase.h"
+#include "engine/trace.h"
 #include "logic/atom.h"
 
 namespace mapinv {
-
-/// One compiled conclusion term.
-struct FireTerm {
-  enum class Kind { kConstant, kBound, kExistential } kind;
-  Value constant;   // kConstant
-  VarId var = 0;    // kBound: key into the trigger assignment
-  uint32_t ex = 0;  // kExistential: index into the per-firing fresh nulls
-};
-
-/// One compiled conclusion atom.
-struct FireAtom {
-  RelationId relation;
-  std::vector<FireTerm> terms;
-};
-
-/// Compiles `atoms` against `schema`. Variables in `existential_vars` become
-/// kExistential terms indexed by their position in that list; every other
-/// variable is kBound (looked up in the trigger assignment at fire time).
-inline Result<std::vector<FireAtom>> CompileFireAtoms(
-    const std::vector<Atom>& atoms, const Schema& schema,
-    const std::vector<VarId>& existential_vars) {
-  std::unordered_map<VarId, uint32_t> ex_index;
-  for (uint32_t i = 0; i < existential_vars.size(); ++i) {
-    ex_index.emplace(existential_vars[i], i);
-  }
-  std::vector<FireAtom> out;
-  out.reserve(atoms.size());
-  for (const Atom& atom : atoms) {
-    FireAtom fa;
-    MAPINV_ASSIGN_OR_RETURN(fa.relation,
-                            schema.Require(RelationText(atom.relation)));
-    fa.terms.reserve(atom.terms.size());
-    for (const Term& term : atom.terms) {
-      FireTerm ft;
-      if (term.is_constant()) {
-        ft.kind = FireTerm::Kind::kConstant;
-        ft.constant = term.value();
-      } else {
-        auto it = ex_index.find(term.var());
-        if (it != ex_index.end()) {
-          ft.kind = FireTerm::Kind::kExistential;
-          ft.ex = it->second;
-        } else {
-          ft.kind = FireTerm::Kind::kBound;
-          ft.var = term.var();
-        }
-      }
-      fa.terms.push_back(ft);
-    }
-    out.push_back(std::move(fa));
-  }
-  return out;
-}
-
-/// Assembles one compiled atom's row into `scratch` from the trigger
-/// assignment `h` and the per-firing `fresh` nulls.
-inline void BuildFireRow(const FireAtom& fa, const Assignment& h,
-                         const std::vector<Value>& fresh,
-                         std::vector<Value>* scratch) {
-  scratch->clear();
-  for (const FireTerm& ft : fa.terms) {
-    switch (ft.kind) {
-      case FireTerm::Kind::kConstant:
-        scratch->push_back(ft.constant);
-        break;
-      case FireTerm::Kind::kBound:
-        scratch->push_back(h.at(ft.var));
-        break;
-      case FireTerm::Kind::kExistential:
-        scratch->push_back(fresh[ft.ex]);
-        break;
-    }
-  }
-}
 
 /// One compiled conclusion term, column-indexed: bound variables resolve to
 /// a column of the trigger row instead of a hash-map key.
@@ -234,7 +170,7 @@ struct BulkFireScratch {
 
 /// Builds the per-relation buffers for conclusion atoms resolved to
 /// `relations` (one buffer per distinct relation, in first-appearance
-/// order) — the SO chase resolves relations itself, so it passes ids.
+/// order).
 inline BulkFireScratch MakeBulkFireScratch(
     const std::vector<RelationId>& relations, const Schema& schema) {
   BulkFireScratch s;
@@ -255,21 +191,11 @@ inline BulkFireScratch MakeBulkFireScratch(
   return s;
 }
 
-/// Builds the per-relation buffers for `atoms` (one buffer per distinct
-/// conclusion relation, in first-appearance order).
-inline BulkFireScratch MakeBulkFireScratch(const std::vector<FireAtomCols>& atoms,
-                                           const Schema& schema) {
-  std::vector<RelationId> relations;
-  relations.reserve(atoms.size());
-  for (const FireAtomCols& fa : atoms) relations.push_back(fa.relation);
-  return MakeBulkFireScratch(relations, schema);
-}
-
 /// Appends every buffered row into `target` (one AddRows per relation, with
 /// a capacity hint), marks `s->fired` for owning triggers of added rows, and
-/// invokes `on_added(relation, ref, trigger)` for each genuinely new row —
-/// the k-th added row of a relation lands at ref (NumRows - inserted + k),
-/// since AddRows appends densely. Returns the number of rows added.
+/// invokes `on_added(relation, ref)` for each genuinely new row — the k-th
+/// added row of a relation lands at ref (NumRows - inserted + k), since
+/// AddRows appends densely. Returns the number of rows added.
 template <typename OnAdded>
 inline Result<size_t> FlushBulkFire(Instance* target, BulkFireScratch* s,
                                     OnAdded&& on_added) {
@@ -286,11 +212,164 @@ inline Result<size_t> FlushBulkFire(Instance* target, BulkFireScratch* s,
     for (size_t i = 0; i < count; ++i) {
       if (!b.added[i]) continue;
       s->fired[b.owner[i]] = 1;
-      on_added(b.relation, static_cast<TupleRef>(ref), b.owner[i]);
+      on_added(b.relation, static_cast<TupleRef>(ref));
       ++ref;
     }
   }
   return created;
+}
+
+/// \brief The state one forward chase threads through FireTriggers, one
+/// call per dependency.
+struct FireRun {
+  const ExecutionOptions& options;
+  const ExecDeadline& deadline;
+  /// Phase named by interrupt and max_new_facts errors ("chase_tgds", ...).
+  const char* phase;
+  /// Checked once per bulk batch, or once per trigger on the per-trigger
+  /// path, before anything is appended.
+  FailPoint& failpoint;
+  Instance* target;
+  /// New target facts so far, over every dependency; bounded by
+  /// options.max_new_facts.
+  size_t created = 0;
+};
+
+/// \brief Fires every trigger of one dependency into `run->target`, in
+/// trigger order; conclusion atom i lands in `relations[i]`. The caller
+/// supplies what differs between the chases:
+///   - `mint(Value* fresh)` writes one trigger's `num_fresh` fresh nulls;
+///   - `build(i, row, fresh, &scratch)` puts atom i's row for the trigger
+///     `row` into scratch and returns a Status;
+///   - `satisfied(row)` returns Result<bool>: whether the trigger's
+///     conclusion already holds in the target;
+///   - `on_added(relation, ref)` sees every new row.
+///
+/// With `unconditional` (the oblivious and Skolem chases) every trigger
+/// fires and counts as a chase step. Otherwise `satisfied` runs per
+/// trigger, and only the triggers that fire count.
+///
+/// Under options.vectorized the rows of vector_batch triggers are built
+/// first and appended with one AddRows pass per relation, when the probe is
+/// not needed: with `unconditional`, or with `num_fresh` 0, since a
+/// conclusion without existentials is satisfied exactly when firing it adds
+/// no row, which AddRows' dedup decides. Output, chase_steps and null
+/// labels equal the per-trigger path's.
+///
+/// The max_new_facts budget is checked after each whole trigger, so a
+/// kPartial stop never leaves a half-fired conclusion and overshoots by at
+/// most one trigger's atoms. Returns true when every trigger was processed,
+/// false when kPartial degradation stopped the chase here (the target then
+/// holds the chase of a trigger-list prefix, a sound under-approximation).
+template <typename Mint, typename Build, typename Satisfied, typename OnAdded>
+Result<bool> FireTriggers(FireRun* run, const TriggerBatch& triggers,
+                          const std::vector<RelationId>& relations,
+                          bool unconditional, size_t num_fresh, Mint&& mint,
+                          Build&& build, Satisfied&& satisfied,
+                          OnAdded&& on_added) {
+  const ExecutionOptions& options = run->options;
+  Instance* const target = run->target;
+  std::vector<Value> fresh(num_fresh);
+  std::vector<Value> scratch;  // reused row buffer
+  auto count_steps = [&](uint64_t n) {
+    if (options.stats != nullptr) {
+      options.stats->chase_steps.fetch_add(n, std::memory_order_relaxed);
+    }
+  };
+  // An interrupt or budget stop: false under kPartial, else the error.
+  auto stop = [&](Status status) -> Result<bool> {
+    if (DegradeToPartial(options, status)) return false;
+    return status;
+  };
+  auto over_budget = [&] {
+    return PhaseExhausted(run->phase,
+                          "exceeded max_new_facts = " +
+                              std::to_string(options.max_new_facts));
+  };
+  // Fires one trigger atom by atom; true when it added a row.
+  auto fire_one = [&](const Value* row) -> Result<bool> {
+    mint(fresh.data());
+    bool any_added = false;
+    for (size_t i = 0; i < relations.size(); ++i) {
+      MAPINV_RETURN_NOT_OK(build(i, row, fresh.data(), &scratch));
+      MAPINV_ASSIGN_OR_RETURN(const bool added,
+                              target->AddRow(relations[i], scratch));
+      if (!added) continue;
+      ++run->created;
+      any_added = true;
+      // AddRow appends, so the new row's dense ref is the last one.
+      on_added(relations[i],
+               static_cast<TupleRef>(target->NumRows(relations[i]) - 1));
+    }
+    return any_added;
+  };
+
+  const size_t batch = options.vector_batch;
+  if (options.vectorized && batch > 0 && (unconditional || num_fresh == 0)) {
+    BulkFireScratch bulk = MakeBulkFireScratch(relations, target->schema());
+    for (size_t base = 0; base < triggers.rows; base += batch) {
+      const size_t count = std::min(batch, triggers.rows - base);
+      // A stop precedes the batch's mutations: always a whole-batch prefix.
+      if (Status poll = PollPhaseInterrupt(options, run->deadline, run->phase);
+          !poll.ok()) {
+        return stop(std::move(poll));
+      }
+      MAPINV_FAILPOINT(run->failpoint);
+      if (run->created + count * relations.size() > options.max_new_facts) {
+        // Near the budget edge, fire trigger by trigger so the stopping
+        // trigger is exactly the per-trigger path's. Skipping the probe is
+        // equivalent: a satisfied trigger's rows all dedup away, leaving
+        // created and chase_steps untouched.
+        for (size_t t = base; t < base + count; ++t) {
+          MAPINV_ASSIGN_OR_RETURN(const bool added, fire_one(triggers.Row(t)));
+          if (unconditional || added) count_steps(1);
+          if (run->created > options.max_new_facts) return stop(over_budget());
+        }
+        continue;
+      }
+      bulk.BeginBatch(count);
+      for (size_t t = 0; t < count; ++t) {
+        const Value* row = triggers.Row(base + t);
+        mint(fresh.data());
+        for (size_t i = 0; i < relations.size(); ++i) {
+          MAPINV_RETURN_NOT_OK(build(i, row, fresh.data(), &scratch));
+          bulk.Append(bulk.atom_buf[i], static_cast<uint32_t>(t),
+                      scratch.data());
+        }
+      }
+      MAPINV_ASSIGN_OR_RETURN(const size_t inserted,
+                              FlushBulkFire(target, &bulk, on_added));
+      run->created += inserted;
+      if (options.stats != nullptr) {
+        options.stats->bulk_rows_appended.fetch_add(inserted,
+                                                    std::memory_order_relaxed);
+        uint64_t steps = count;
+        if (!unconditional) {
+          steps = 0;
+          for (uint8_t f : bulk.fired) steps += f;
+        }
+        count_steps(steps);
+      }
+    }
+    return true;
+  }
+
+  for (size_t t = 0; t < triggers.rows; ++t) {
+    if (Status poll = PollPhaseInterrupt(options, run->deadline, run->phase);
+        !poll.ok()) {
+      return stop(std::move(poll));
+    }
+    MAPINV_FAILPOINT(run->failpoint);
+    const Value* row = triggers.Row(t);
+    if (!unconditional) {
+      MAPINV_ASSIGN_OR_RETURN(const bool holds, satisfied(row));
+      if (holds) continue;
+    }
+    count_steps(1);
+    MAPINV_RETURN_NOT_OK(fire_one(row).status());
+    if (run->created > options.max_new_facts) return stop(over_budget());
+  }
+  return true;
 }
 
 }  // namespace mapinv

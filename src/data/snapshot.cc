@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/bytes.h"
 #include "base/status.h"
 #include "base/symbols.h"
 #include "data/instance.h"
@@ -79,63 +80,9 @@ static_assert(std::is_trivially_copyable_v<Value>,
 
 size_t PadTo8(size_t n) { return (n + 7) & ~size_t{7}; }
 
-void AppendU32(std::string& buf, uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string& buf, uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 Status Malformed(const std::string& what) {
   return Status::Malformed("snapshot: " + what);
 }
-
-/// Bounds-checked cursor over the mapped image; every read fails with
-/// kMalformed instead of walking off the mapping.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  Result<uint32_t> U32() {
-    uint32_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<uint64_t> U64() {
-    uint64_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<std::string_view> Bytes(size_t len) {
-    if (len > size_ - pos_) return Malformed("truncated inside a field");
-    std::string_view view(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return view;
-  }
-
-  Status Skip(size_t len) {
-    if (len > size_ - pos_) return Malformed("truncated inside padding");
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  Status Raw(void* out, size_t len) {
-    if (len > size_ - pos_) return Malformed("truncated inside a field");
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
@@ -285,7 +232,7 @@ Result<Instance> SnapshotAccess::Load(std::shared_ptr<MappedFile> map) {
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     return Malformed("bad magic");
   }
-  Reader header(data + sizeof(kMagic), size - sizeof(kMagic));
+  ByteReader header(data + sizeof(kMagic), size - sizeof(kMagic), "snapshot");
   MAPINV_ASSIGN_OR_RETURN(uint32_t version, header.U32());
   if (version != kVersion) {
     return Malformed("unsupported version " + std::to_string(version));
@@ -313,8 +260,9 @@ Result<Instance> SnapshotAccess::Load(std::shared_ptr<MappedFile> map) {
     uint64_t num_rows;
     uint64_t pages_offset;
   };
-  Reader dir(data + kHeaderSize,
-             std::min<size_t>(size, spell_table_offset) - kHeaderSize);
+  ByteReader dir(data + kHeaderSize,
+                 std::min<size_t>(size, spell_table_offset) - kHeaderSize,
+                 "snapshot");
   // A directory entry is at least kDirEntryFixed bytes plus one padded name
   // chunk; reject impossible counts before sizing the entry vector.
   if (num_relations > (spell_table_offset - kHeaderSize) / kDirEntryFixed) {
@@ -359,7 +307,8 @@ Result<Instance> SnapshotAccess::Load(std::shared_ptr<MappedFile> map) {
 
   // Spelling table: intern every spelling; local_ids[file_id] is this
   // process's interner id for it.
-  Reader table(data + spell_table_offset, size - spell_table_offset);
+  ByteReader table(data + spell_table_offset, size - spell_table_offset,
+                   "snapshot");
   std::vector<uint32_t> local_ids;
   bool identity = true;
   for (uint64_t i = 0; i < spell_count; ++i) {

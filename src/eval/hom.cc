@@ -16,27 +16,6 @@ namespace {
 // merge.
 constexpr size_t kIntersectMinBucket = 32;
 
-// Checks the constraints that are decidable under the partial assignment:
-// a newly bound variable's constant requirement, and inequalities whose two
-// endpoints are both bound. (Reference interpreter only — the compiled path
-// fuses these checks into bind ops.)
-bool ConstraintsHold(const HomConstraints& constraints,
-                     const Assignment& assignment) {
-  for (VarId v : constraints.constant_vars) {
-    auto it = assignment.find(v);
-    if (it != assignment.end() && !it->second.is_constant()) return false;
-  }
-  for (const VarPair& ne : constraints.inequalities) {
-    auto a = assignment.find(ne.first);
-    auto b = assignment.find(ne.second);
-    if (a != assignment.end() && b != assignment.end() &&
-        a->second == b->second) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 const RelationIndex& HomSearch::IndexFor(RelationId relation) const {
@@ -396,157 +375,6 @@ Status HomSearch::RunPlan(
     stats_->hom_bucket_candidates.fetch_add(candidates,
                                             std::memory_order_relaxed);
     stats_->hom_slot_bindings.fetch_add(bindings, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-Status HomSearch::ForEachHomReference(
-    const std::vector<Atom>& atoms, const HomConstraints& constraints,
-    const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& callback) const {
-  // Resolve relations and validate argument shapes once.
-  struct ResolvedAtom {
-    const Atom* atom;
-    RelationId relation;
-    bool done = false;
-  };
-  std::vector<ResolvedAtom> resolved;
-  resolved.reserve(atoms.size());
-  for (const Atom& a : atoms) {
-    MAPINV_ASSIGN_OR_RETURN(RelationId id,
-                            instance_.schema().Require(RelationText(a.relation)));
-    if (instance_.schema().arity(id) != a.terms.size()) {
-      return Status::Malformed("atom " + a.ToString() +
-                               " arity mismatch with instance schema");
-    }
-    for (const Term& t : a.terms) {
-      if (t.is_function()) {
-        return Status::Malformed("cannot match function term " + t.ToString() +
-                                 " against an instance");
-      }
-    }
-    resolved.push_back(ResolvedAtom{&a, id});
-  }
-
-  Assignment assignment = fixed;
-  if (!ConstraintsHold(constraints, assignment)) return Status::OK();
-
-  uint64_t rejected = 0;  // candidate tuples discarded; flushed to stats_
-
-  // Recursive backtracking: pick the most-bound unprocessed atom each step.
-  std::function<bool()> recurse = [&]() -> bool {
-    // Returning false means "stop the whole enumeration".
-    ResolvedAtom* best = nullptr;
-    int best_bound = -1;
-    for (ResolvedAtom& ra : resolved) {
-      if (ra.done) continue;
-      int bound = 0;
-      for (const Term& t : ra.atom->terms) {
-        if (t.is_constant() ||
-            (t.is_variable() && assignment.contains(t.var()))) {
-          ++bound;
-        }
-      }
-      if (bound > best_bound) {
-        best_bound = bound;
-        best = &ra;
-      }
-    }
-    if (best == nullptr) {
-      return callback(assignment);
-    }
-    best->done = true;
-    const Atom& atom = *best->atom;
-    const Instance::ArenaView view = instance_.Arena(best->relation);
-    const size_t rows = instance_.NumRows(best->relation);
-
-    // Candidate tuples: use the index bucket of the first bound position,
-    // else scan the whole relation.
-    const std::vector<uint32_t>* bucket = nullptr;
-    std::vector<uint32_t> all;
-    for (uint32_t p = 0; p < atom.terms.size(); ++p) {
-      const Term& t = atom.terms[p];
-      Value bound_value;
-      bool have = false;
-      if (t.is_constant()) {
-        bound_value = t.value();
-        have = true;
-      } else if (assignment.contains(t.var())) {
-        bound_value = assignment.at(t.var());
-        have = true;
-      }
-      if (have) {
-        const auto& buckets = IndexFor(best->relation).positions[p].buckets;
-        auto it = buckets.find(bound_value);
-        if (it == buckets.end()) {
-          bucket = &all;  // empty
-        } else {
-          bucket = &it->second;
-        }
-        break;
-      }
-    }
-    if (bucket == nullptr) {
-      // Full scan: the identity candidate list is materialized only on this
-      // no-position-bound path.
-      all.resize(rows);
-      for (uint32_t i = 0; i < rows; ++i) all[i] = i;
-      bucket = &all;
-    }
-
-    bool keep_going = true;
-    for (uint32_t idx : *bucket) {
-      const Value* tuple = view.row(idx);
-      std::vector<VarId> newly_bound;
-      bool ok = true;
-      for (uint32_t p = 0; p < atom.terms.size() && ok; ++p) {
-        const Term& t = atom.terms[p];
-        if (t.is_constant()) {
-          ok = (t.value() == tuple[p]);
-        } else {
-          auto it = assignment.find(t.var());
-          if (it == assignment.end()) {
-            // Constant constraint applied eagerly.
-            if (constraints.constant_vars.contains(t.var()) &&
-                !tuple[p].is_constant()) {
-              ok = false;
-            } else {
-              assignment.emplace(t.var(), tuple[p]);
-              newly_bound.push_back(t.var());
-            }
-          } else {
-            ok = (it->second == tuple[p]);
-          }
-        }
-      }
-      if (ok) {
-        // Inequalities involving newly bound variables.
-        for (const VarPair& ne : constraints.inequalities) {
-          auto a = assignment.find(ne.first);
-          auto b = assignment.find(ne.second);
-          if (a != assignment.end() && b != assignment.end() &&
-              a->second == b->second) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        keep_going = recurse();
-      } else {
-        ++rejected;
-      }
-      for (VarId v : newly_bound) assignment.erase(v);
-      if (!keep_going) break;
-    }
-    best->done = false;
-    return keep_going;
-  };
-
-  recurse();
-  if (stats_ != nullptr) {
-    stats_->hom_searches.fetch_add(1, std::memory_order_relaxed);
-    stats_->hom_backtracks.fetch_add(rejected, std::memory_order_relaxed);
   }
   return Status::OK();
 }

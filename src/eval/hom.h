@@ -17,8 +17,8 @@
 /// ForEachHom compiles the conjunction into a HomPlan (see hom_plan.h) on
 /// first use and caches it under a content key, so repeated matching of the
 /// same rule pays join-order selection and constraint lowering once. The
-/// pre-plan interpreter is retained as ForEachHomReference for differential
-/// testing.
+/// pre-plan interpreter lives on as a test oracle, ReferenceForEachHom in
+/// tests/hom_oracles.h.
 
 #ifndef MAPINV_EVAL_HOM_H_
 #define MAPINV_EVAL_HOM_H_
@@ -122,10 +122,11 @@ class HomSearch {
   void set_vector_batch(size_t batch) { vector_batch_ = batch; }
   size_t vector_batch() const { return vector_batch_; }
 
-  /// Plan-size ceiling for the vectorized executor: compiled plans with more
-  /// steps run scalar even when a vector batch is set (and bump
-  /// ExecStats::vector_plan_fallbacks). Defaults to kVectorMaxPlanSteps; the
-  /// chase engines set it from ExecutionOptions::vector_max_plan_steps.
+  /// Plan-size ceiling for the vectorized executor behind ForEachHom /
+  /// ForEachHomWithPlan: compiled plans with more steps run scalar even when
+  /// a vector batch is set (and bump ExecStats::vector_plan_fallbacks).
+  /// Defaults to kVectorMaxPlanSteps. The chase engines do not read it: their
+  /// trigger collection takes ExecutionOptions::vector_max_plan_steps.
   void set_vector_max_plan_steps(size_t steps) {
     vector_max_plan_steps_ = steps;
   }
@@ -144,15 +145,6 @@ class HomSearch {
   /// loops call this once per trigger.
   Result<bool> ExistsHomWithPlanValues(
       const HomPlan& plan, const std::vector<Value>& fixed_values) const;
-
-  /// The pre-plan interpretive search, retained as the reference semantics
-  /// for differential testing (tests/hom_plan_test.cc). Same contract and
-  /// homomorphism set as ForEachHom; enumeration order may differ only
-  /// through the plan's cardinality tie-break.
-  Status ForEachHomReference(
-      const std::vector<Atom>& atoms, const HomConstraints& constraints,
-      const Assignment& fixed,
-      const std::function<bool(const Assignment&)>& callback) const;
 
   /// Validates `atoms` against the instance schema and builds the indexes
   /// for every relation they mention. After Prewarm, concurrent ForEachHom
@@ -186,9 +178,7 @@ class HomSearch {
 
   const Instance& instance_;
   ExecStats* stats_ = nullptr;
-  // Defaults match ExecutionOptions::vector_batch / vector_max_plan_steps;
-  // the chase engines set both from their options before collecting
-  // triggers.
+  // Defaults match ExecutionOptions::vector_batch / vector_max_plan_steps.
   size_t vector_batch_ = 1024;
   size_t vector_max_plan_steps_ = 32;
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/bytes.h"
 #include "engine/execution_options.h"
 #include "engine/failpoint.h"
 
@@ -34,69 +35,9 @@ constexpr uint32_t kVersion = 1;
 // the loader never trusts an attacker-controlled length into an allocation.
 constexpr uint64_t kMaxWorldFiles = 1u << 20;
 
-void AppendU32(std::string& buf, uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string& buf, uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 Status Malformed(const std::string& what) {
   return Status::Malformed("job manifest: " + what);
 }
-
-// Bounds-checked cursor over the manifest image, mirroring the snapshot
-// loader's Reader (data/snapshot.cc): every read fails with kMalformed
-// instead of walking off the buffer.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  Result<uint32_t> U32() {
-    uint32_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<uint64_t> U64() {
-    uint64_t v;
-    MAPINV_RETURN_NOT_OK(Raw(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<std::string_view> Bytes(size_t len) {
-    if (len > size_ - pos_) return Malformed("truncated inside a field");
-    std::string_view view(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return view;
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  Status Raw(void* out, size_t len) {
-    if (len > size_ - pos_) return Malformed("truncated inside a field");
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 // A world-file name a manifest may legally carry: non-empty, flat (no path
 // separators, no "." / ".."), so a corrupt or hostile manifest can never
@@ -277,7 +218,7 @@ std::string JobManifestToBytes(const JobManifest& manifest) {
     AppendU32(buf, static_cast<uint32_t>(name.size()));
     buf.append(name);
   }
-  AppendU64(buf, Fnv1a(kFnvOffset, buf.data(), buf.size()));
+  AppendU64(buf, Fnv1a(kFnv1aOffset, buf.data(), buf.size()));
   return buf;
 }
 
@@ -290,10 +231,10 @@ Result<JobManifest> JobManifestFromBytes(const void* data, size_t size) {
   // cursor, name bytes — is rejected before any field is interpreted.
   uint64_t stored_sum;
   std::memcpy(&stored_sum, bytes + size - sizeof(uint64_t), sizeof(uint64_t));
-  if (Fnv1a(kFnvOffset, bytes, size - sizeof(uint64_t)) != stored_sum) {
+  if (Fnv1a(kFnv1aOffset, bytes, size - sizeof(uint64_t)) != stored_sum) {
     return Malformed("checksum mismatch (torn or corrupted write)");
   }
-  Reader reader(bytes, size - sizeof(uint64_t));
+  ByteReader reader(bytes, size - sizeof(uint64_t), "job manifest");
   MAPINV_ASSIGN_OR_RETURN(std::string_view magic, reader.Bytes(sizeof(kMagic)));
   if (std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0) {
     return Malformed("bad magic");
@@ -338,7 +279,7 @@ Result<JobManifest> JobManifestFromBytes(const void* data, size_t size) {
 
 uint64_t JobFingerprint(JobKind kind, std::string_view mapping_text,
                         std::string_view input_text, bool oblivious) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffset;
   const uint32_t k = static_cast<uint32_t>(kind);
   h = Fnv1a(h, &k, sizeof(k));
   // Lengths delimit the fields so ("ab","c") never collides with ("a","bc").

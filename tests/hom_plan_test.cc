@@ -1,9 +1,9 @@
 // Differential property tests for the compiled join-plan kernel: the
 // compiled path (ForEachHom / ForEachHomWithPlan) must enumerate exactly the
-// same homomorphism multiset as the retained reference interpreter
-// (ForEachHomReference) on every input — random conjunctions and instances
-// from mapgen, side constraints, fixed assignments, error contracts and
-// early-stop semantics included.
+// same homomorphism multiset as the reference interpreter
+// (ReferenceForEachHom, tests/hom_oracles.h) on every input — random
+// conjunctions and instances from mapgen, side constraints, fixed
+// assignments, error contracts and early-stop semantics included.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "engine/execution_options.h"
 #include "eval/hom.h"
 #include "eval/hom_plan.h"
+#include "hom_oracles.h"
 #include "mapgen/generators.h"
 
 namespace mapinv {
@@ -41,7 +42,8 @@ std::vector<std::string> Canon(const std::vector<Assignment>& homs) {
 
 // Runs both kernels over the same input and asserts identical outcome:
 // same status code, and on success the same homomorphism multiset.
-void ExpectSameHoms(const HomSearch& search, const std::vector<Atom>& atoms,
+void ExpectSameHoms(const Instance& inst, const HomSearch& search,
+                    const std::vector<Atom>& atoms,
                     const HomConstraints& constraints,
                     const Assignment& fixed) {
   std::vector<Assignment> compiled;
@@ -51,11 +53,11 @@ void ExpectSameHoms(const HomSearch& search, const std::vector<Atom>& atoms,
                                   compiled.push_back(h);
                                   return true;
                                 });
-  Status sr = search.ForEachHomReference(atoms, constraints, fixed,
-                                         [&](const Assignment& h) {
-                                           reference.push_back(h);
-                                           return true;
-                                         });
+  Status sr = ReferenceForEachHom(inst, atoms, constraints, fixed,
+                                  [&](const Assignment& h) {
+                                    reference.push_back(h);
+                                    return true;
+                                  });
   ASSERT_EQ(sc.code(), sr.code()) << sc.ToString() << " vs " << sr.ToString();
   if (!sc.ok()) return;
   EXPECT_EQ(Canon(compiled), Canon(reference));
@@ -87,7 +89,8 @@ TEST(HomPlanDifferentialTest, RandomMappingsAndInstances) {
       for (const Tgd& tgd : mapping.tgds) {
         std::vector<VarId> vars = CollectDistinctVars(tgd.premise);
         // Plain.
-        ExpectSameHoms(search, tgd.premise, HomConstraints{}, Assignment{});
+        ExpectSameHoms(inst, search, tgd.premise, HomConstraints{},
+                       Assignment{});
         // With constraints: constrain ~half the variables to constants and
         // add a couple of inequalities (including possibly x != x).
         HomConstraints constraints;
@@ -98,7 +101,7 @@ TEST(HomPlanDifferentialTest, RandomMappingsAndInstances) {
           constraints.inequalities.emplace_back(vars[rng() % vars.size()],
                                                 vars[rng() % vars.size()]);
         }
-        ExpectSameHoms(search, tgd.premise, constraints, Assignment{});
+        ExpectSameHoms(inst, search, tgd.premise, constraints, Assignment{});
         // With a fixed assignment: bind one variable to a value drawn from
         // the active domain (may yield zero homomorphisms — also a case the
         // two kernels must agree on).
@@ -107,8 +110,8 @@ TEST(HomPlanDifferentialTest, RandomMappingsAndInstances) {
           Assignment fixed;
           fixed.emplace(vars[rng() % vars.size()],
                         domain[rng() % domain.size()]);
-          ExpectSameHoms(search, tgd.premise, constraints, fixed);
-          ExpectSameHoms(search, tgd.premise, HomConstraints{}, fixed);
+          ExpectSameHoms(inst, search, tgd.premise, constraints, fixed);
+          ExpectSameHoms(inst, search, tgd.premise, HomConstraints{}, fixed);
         }
       }
     }
@@ -124,16 +127,16 @@ TEST(HomPlanDifferentialTest, RepeatedVariablesAndConstants) {
   ASSERT_TRUE(inst.AddInts("S", {2, 2, 2}).ok());
   ASSERT_TRUE(inst.AddInts("S", {1, 2, 1}).ok());
   HomSearch search(inst);
-  ExpectSameHoms(search, {Atom::Vars("R", {"x", "x"})}, HomConstraints{},
+  ExpectSameHoms(inst, search, {Atom::Vars("R", {"x", "x"})}, HomConstraints{},
                  Assignment{});
-  ExpectSameHoms(search, {Atom::Vars("S", {"x", "x", "y"})}, HomConstraints{},
-                 Assignment{});
-  ExpectSameHoms(search,
+  ExpectSameHoms(inst, search, {Atom::Vars("S", {"x", "x", "y"})},
+                 HomConstraints{}, Assignment{});
+  ExpectSameHoms(inst, search,
                  {Atom::Vars("R", {"x", "y"}), Atom::Vars("S", {"y", "y", "x"})},
                  HomConstraints{}, Assignment{});
   Atom with_const("S", {Term::Const(Value::Int(1)), Term::Var("a"),
                         Term::Var("b")});
-  ExpectSameHoms(search, {with_const, Atom::Vars("R", {"a", "b"})},
+  ExpectSameHoms(inst, search, {with_const, Atom::Vars("R", {"a", "b"})},
                  HomConstraints{}, Assignment{});
 }
 
@@ -145,13 +148,13 @@ TEST(HomPlanDifferentialTest, NullsAndConstantVarConstraint) {
   HomSearch search(inst);
   HomConstraints constraints;
   constraints.constant_vars.insert(InternVar("y"));
-  ExpectSameHoms(search, {Atom::Vars("R", {"x", "y"})}, constraints,
+  ExpectSameHoms(inst, search, {Atom::Vars("R", {"x", "y"})}, constraints,
                  Assignment{});
   // A fixed null binding under the constant constraint rejects everything
   // at init on both paths.
   Assignment fixed_null;
   fixed_null.emplace(InternVar("y"), null);
-  ExpectSameHoms(search, {Atom::Vars("R", {"x", "y"})}, constraints,
+  ExpectSameHoms(inst, search, {Atom::Vars("R", {"x", "y"})}, constraints,
                  fixed_null);
 }
 
@@ -160,19 +163,19 @@ TEST(HomPlanDifferentialTest, ErrorContracts) {
   ASSERT_TRUE(inst.AddInts("R", {1, 2}).ok());
   HomSearch search(inst);
   // Unknown relation -> kNotFound on both paths.
-  ExpectSameHoms(search, {Atom::Vars("Q", {"x", "y"})}, HomConstraints{},
+  ExpectSameHoms(inst, search, {Atom::Vars("Q", {"x", "y"})}, HomConstraints{},
                  Assignment{});
   Status missing = search.ForEachHom({Atom::Vars("Q", {"x", "y"})},
                                      HomConstraints{}, Assignment{},
                                      [](const Assignment&) { return true; });
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   // Arity mismatch -> kMalformed on both paths.
-  ExpectSameHoms(search, {Atom::Vars("R", {"x", "y", "z"})}, HomConstraints{},
-                 Assignment{});
+  ExpectSameHoms(inst, search, {Atom::Vars("R", {"x", "y", "z"})},
+                 HomConstraints{}, Assignment{});
   // Function term -> kMalformed on both paths.
   Atom fn_atom("R", {Term::Var("x"),
                      Term::Fn("f", {Term::Var("x")})});
-  ExpectSameHoms(search, {fn_atom}, HomConstraints{}, Assignment{});
+  ExpectSameHoms(inst, search, {fn_atom}, HomConstraints{}, Assignment{});
   Status fn = search.ForEachHom({fn_atom}, HomConstraints{}, Assignment{},
                                 [](const Assignment&) { return true; });
   EXPECT_EQ(fn.code(), StatusCode::kMalformed);
@@ -224,11 +227,11 @@ TEST(HomPlanDifferentialTest, InstanceGrowthIsPickedUp) {
   HomSearch search(inst);
   const std::vector<Atom> atoms = {Atom::Vars("R", {"x", "y"}),
                                    Atom::Vars("S", {"y", "z"})};
-  ExpectSameHoms(search, atoms, HomConstraints{}, Assignment{});
+  ExpectSameHoms(inst, search, atoms, HomConstraints{}, Assignment{});
   // Grow the instance: the cached plan's indexes must catch up.
   ASSERT_TRUE(inst.AddInts("R", {1, 5}).ok());
   ASSERT_TRUE(inst.AddInts("S", {5, 6}).ok());
-  ExpectSameHoms(search, atoms, HomConstraints{}, Assignment{});
+  ExpectSameHoms(inst, search, atoms, HomConstraints{}, Assignment{});
 }
 
 TEST(HomPlanDifferentialTest, BucketIntersectionPath) {
@@ -245,7 +248,7 @@ TEST(HomPlanDifferentialTest, BucketIntersectionPath) {
   HomSearch search(inst);
   const std::vector<Atom> atoms = {Atom::Vars("A", {"x", "y"}),
                                    Atom::Vars("R", {"x", "y"})};
-  ExpectSameHoms(search, atoms, HomConstraints{}, Assignment{});
+  ExpectSameHoms(inst, search, atoms, HomConstraints{}, Assignment{});
   std::vector<Assignment> homs;
   ASSERT_TRUE(search
                   .ForEachHom(atoms, HomConstraints{}, Assignment{},

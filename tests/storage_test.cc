@@ -18,6 +18,7 @@
 #include "data/value.h"
 #include "engine/execution_options.h"
 #include "eval/hom.h"
+#include "hom_oracles.h"
 #include "parser/parser.h"
 
 namespace mapinv {
@@ -184,11 +185,12 @@ TEST_F(StorageTest, IndexBucketsListRowsInInsertionOrder) {
 // like one built fresh with the same facts.
 
 // Collects the multiset of homomorphisms as sorted (var,value-string) lists.
-std::multiset<std::string> HomMultiset(const HomSearch& search,
+std::multiset<std::string> HomMultiset(const Instance& instance,
                                        const std::vector<Atom>& atoms) {
   std::multiset<std::string> out;
-  Status status = search.ForEachHomReference(
-      atoms, HomConstraints{}, Assignment{}, [&](const Assignment& h) {
+  Status status = ReferenceForEachHom(
+      instance, atoms, HomConstraints{}, Assignment{},
+      [&](const Assignment& h) {
         std::map<VarId, std::string> sorted;
         for (const auto& [var, value] : h) sorted[var] = value.ToString();
         std::string row;
@@ -226,9 +228,7 @@ TEST_F(StorageTest, ForkedInstanceIsObservationallyEqualToFreshOne) {
 
   std::vector<Atom> atoms =
       ParseTgdMapping("R(x,y), S(y,z) -> T(x,z)").ValueOrDie().tgds[0].premise;
-  HomSearch on_forked(forked);
-  HomSearch on_fresh(fresh);
-  EXPECT_EQ(HomMultiset(on_forked, atoms), HomMultiset(on_fresh, atoms));
+  EXPECT_EQ(HomMultiset(forked, atoms), HomMultiset(fresh, atoms));
 }
 
 TEST_F(StorageTest, ChaseOverForkMatchesChaseOverFresh) {

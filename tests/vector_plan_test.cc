@@ -115,21 +115,64 @@ TEST(VectorPlanDifferentialTest, HomOrderMatchesScalarOnRandomShapes) {
   }
 }
 
-// One chase run under a given execution shape; a fresh SymbolContext per run
-// makes null labels comparable byte for byte.
-std::string ChaseText(const TgdMapping& mapping, const Instance& source,
-                      bool vectorized, size_t batch, int threads,
-                      bool oblivious) {
-  SymbolContext symbols;
+// Execution options for one run of a given shape. A fresh SymbolContext per
+// run makes null labels comparable byte for byte; `max_new_facts` caps the
+// run under kPartial, so a budget degrades instead of failing.
+ExecutionOptions ShapeOptions(SymbolContext* symbols, ExecStats* stats,
+                              bool vectorized, size_t batch,
+                              size_t max_new_facts = ExecutionOptions{}
+                                                         .max_new_facts) {
   ExecutionOptions options;
-  options.symbols = &symbols;
+  options.symbols = symbols;
+  options.stats = stats;
   options.vectorized = vectorized;
   if (batch != 0) options.vector_batch = batch;
+  options.max_new_facts = max_new_facts;
+  options.on_exhausted = OnExhausted::kPartial;
+  return options;
+}
+
+// What a run must reproduce besides its output: its chase steps and whether
+// it stopped short.
+std::string StepsAndPartial(const ExecStats& stats) {
+  return "\nchase_steps=" + std::to_string(stats.chase_steps.load()) +
+         (stats.partial.load() ? " partial" : " complete");
+}
+
+// The budget edge, where the bulk paths fall back to per-trigger firing:
+// under kPartial, at every max_new_facts from 0 up to the full output size
+// (the first budget the scalar run completes within), every batch size must
+// stop at the scalar run's trigger. `run(vectorized, batch, max_new_facts)`
+// renders one run, ending in StepsAndPartial.
+template <typename Run>
+void ExpectBudgetEdgeMatchesScalar(const Run& run, const std::string& where) {
+  for (size_t budget = 0;; ++budget) {
+    const std::string scalar = run(false, 0, budget);
+    ASSERT_FALSE(scalar.empty()) << where;
+    for (size_t batch : kBatches) {
+      EXPECT_EQ(run(true, batch, budget), scalar)
+          << where << " max_new_facts=" << budget << " batch=" << batch;
+    }
+    if (scalar.ends_with(" complete")) break;
+  }
+}
+
+// One chase run under a given execution shape, rendered with its chase
+// steps and partial flag.
+std::string ChaseText(const TgdMapping& mapping, const Instance& source,
+                      bool vectorized, size_t batch, int threads,
+                      bool oblivious,
+                      size_t max_new_facts = ExecutionOptions{}.max_new_facts) {
+  SymbolContext symbols;
+  ExecStats stats;
+  ExecutionOptions options =
+      ShapeOptions(&symbols, &stats, vectorized, batch, max_new_facts);
   options.threads = threads;
   options.oblivious = oblivious;
   Result<Instance> result = ChaseTgds(mapping, source, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? result.ValueOrDie().ToString() : std::string();
+  return result.ok() ? result.ValueOrDie().ToString() + StepsAndPartial(stats)
+                     : std::string();
 }
 
 TEST(VectorPlanDifferentialTest, ChaseBitIdenticalAcrossExecutionShapes) {
@@ -159,6 +202,13 @@ TEST(VectorPlanDifferentialTest, ChaseBitIdenticalAcrossExecutionShapes) {
                 << " batch=" << batch << " oblivious=" << oblivious;
           }
         }
+        ExpectBudgetEdgeMatchesScalar(
+            [&](bool vectorized, size_t batch, size_t max_new_facts) {
+              return ChaseText(mapping, source, vectorized, batch, 1,
+                               oblivious, max_new_facts);
+            },
+            "seed=" + std::to_string(seed) +
+                " oblivious=" + std::to_string(oblivious));
       }
     }
   }
@@ -171,21 +221,26 @@ TEST(VectorPlanDifferentialTest, DeltaChaseAndProvenanceMatchScalar) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Instance source = GenerateInstance(*mapping.source, /*tuples=*/10,
                                        /*domain=*/5, seed);
-    auto run = [&](bool vectorized, size_t batch) {
+    // `max_new_facts` caps the delta; the base chase always completes.
+    auto run = [&](bool vectorized, size_t batch,
+                   size_t max_new_facts = ExecutionOptions{}.max_new_facts) {
       SymbolContext symbols;
-      ExecutionOptions options;
-      options.symbols = &symbols;
-      options.vectorized = vectorized;
-      if (batch != 0) options.vector_batch = batch;
-      Instance target = ChaseTgds(mapping, source, options).ValueOrDie();
+      ExecStats base_stats;
+      Instance target =
+          ChaseTgds(mapping, source,
+                    ShapeOptions(&symbols, &base_stats, vectorized, batch))
+              .ValueOrDie();
       Instance grown = source.Fork();
       const DeltaWatermark mark = WatermarkOf(grown);
       EXPECT_TRUE(grown.AddInts("R", {91, 92}).ok());
       EXPECT_TRUE(grown.AddInts("S", {92, 93}).ok());
       ChaseProvenance provenance;
-      Result<bool> complete =
-          ChaseDelta(mapping, grown, mark, &target, &provenance, options);
+      ExecStats stats;
+      Result<bool> complete = ChaseDelta(
+          mapping, grown, mark, &target, &provenance,
+          ShapeOptions(&symbols, &stats, vectorized, batch, max_new_facts));
       EXPECT_TRUE(complete.ok()) << complete.status().ToString();
+      EXPECT_EQ(complete.ok() && *complete, !stats.partial.load());
       std::string text = target.ToString() + "\n";
       for (RelationId rel = 0; rel < mapping.target->size(); ++rel) {
         for (size_t ref = 0; ref < target.NumRows(rel); ++ref) {
@@ -195,13 +250,14 @@ TEST(VectorPlanDifferentialTest, DeltaChaseAndProvenanceMatchScalar) {
         }
         text += "\n";
       }
-      return text;
+      return text + StepsAndPartial(stats);
     };
     const std::string scalar = run(false, 0);
     for (size_t batch : kBatches) {
       EXPECT_EQ(run(true, batch), scalar) << "seed=" << seed
                                           << " batch=" << batch;
     }
+    ExpectBudgetEdgeMatchesScalar(run, "seed=" + std::to_string(seed));
   }
 }
 
@@ -242,15 +298,17 @@ TEST(VectorPlanDifferentialTest, SOChaseMatchesScalar) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Instance source = GenerateInstance(*mapping.source, /*tuples=*/10,
                                        /*domain=*/5, seed);
-    auto run = [&](bool vectorized, size_t batch) {
+    auto run = [&](bool vectorized, size_t batch,
+                   size_t max_new_facts = ExecutionOptions{}.max_new_facts) {
       SymbolContext symbols;
-      ExecutionOptions options;
-      options.symbols = &symbols;
-      options.vectorized = vectorized;
-      if (batch != 0) options.vector_batch = batch;
-      Result<Instance> result = ChaseSOTgd(mapping, source, options);
+      ExecStats stats;
+      Result<Instance> result = ChaseSOTgd(
+          mapping, source,
+          ShapeOptions(&symbols, &stats, vectorized, batch, max_new_facts));
       EXPECT_TRUE(result.ok()) << result.status().ToString();
-      return result.ok() ? result.ValueOrDie().ToString() : std::string();
+      return result.ok()
+                 ? result.ValueOrDie().ToString() + StepsAndPartial(stats)
+                 : std::string();
     };
     const std::string scalar = run(false, 0);
     ASSERT_FALSE(scalar.empty());
@@ -258,6 +316,7 @@ TEST(VectorPlanDifferentialTest, SOChaseMatchesScalar) {
       EXPECT_EQ(run(true, batch), scalar) << "seed=" << seed
                                           << " batch=" << batch;
     }
+    ExpectBudgetEdgeMatchesScalar(run, "seed=" + std::to_string(seed));
   }
 }
 
