@@ -420,20 +420,7 @@ Result<AnswerSet> CertainAnswersReverse(const ReverseMapping& mapping,
     return Status::Malformed(
         "no world: reverse dependencies unsatisfiable on input");
   }
-  bool first = true;
-  AnswerSet certain;
-  for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers,
-                            EvaluateCq(query, world, options.stats));
-    AnswerSet c = answers.CertainOnly();
-    if (first) {
-      certain = std::move(c);
-      first = false;
-    } else {
-      certain = certain.Intersect(c);
-    }
-  }
-  return certain;
+  return CertainOverWorlds(worlds, query, options.stats);
 }
 
 }  // namespace mapinv

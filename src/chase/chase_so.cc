@@ -833,19 +833,7 @@ Result<AnswerSet> CertainAnswersSOInverse(const SOInverseMapping& mapping,
   if (worlds.empty()) {
     return Status::Malformed("SO-inverse chase: no consistent world");
   }
-  bool first = true;
-  AnswerSet certain;
-  for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers, EvaluateCq(query, world));
-    AnswerSet c = answers.CertainOnly();
-    if (first) {
-      certain = std::move(c);
-      first = false;
-    } else {
-      certain = certain.Intersect(c);
-    }
-  }
-  return certain;
+  return CertainOverWorlds(worlds, query);
 }
 
 }  // namespace mapinv

@@ -64,24 +64,4 @@ Result<AnswerSet> RoundTripCertainSO(const SOTgdMapping& mapping,
   return CertainOverWorlds(worlds, query);
 }
 
-Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
-                                    const ConjunctiveQuery& query) {
-  if (worlds.empty()) {
-    return Status::Malformed("certain answers over an empty world set");
-  }
-  bool first = true;
-  AnswerSet certain;
-  for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers, EvaluateCq(query, world));
-    AnswerSet c = answers.CertainOnly();
-    if (first) {
-      certain = std::move(c);
-      first = false;
-    } else {
-      certain = certain.Intersect(c);
-    }
-  }
-  return certain;
-}
-
 }  // namespace mapinv

@@ -65,11 +65,6 @@ Result<AnswerSet> RoundTripCertainSO(const SOTgdMapping& mapping,
                                      const ConjunctiveQuery& query,
                                      const ExecutionOptions& options = {});
 
-/// \brief Intersection of per-world certain answers of `query`; fails on an
-/// empty world set.
-Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
-                                    const ConjunctiveQuery& query);
-
 }  // namespace mapinv
 
 #endif  // MAPINV_CHASE_ROUND_TRIP_H_

@@ -27,12 +27,14 @@
 #ifndef MAPINV_ENGINE_EXECUTION_OPTIONS_H_
 #define MAPINV_ENGINE_EXECUTION_OPTIONS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "base/status.h"
 
@@ -71,121 +73,125 @@ struct ResourceLimits {
   int64_t deadline_ms = 0;
 };
 
+/// \brief How a lifetime fold combines one counter across executions
+/// (ExecStats::Absorb, ExecStatsSnapshot::Merge). kSum adds; kMax keeps the
+/// high-water mark, so re-running a pipeline stage over the same output
+/// reports the same footprint. A trace span subtracts and adds every counter
+/// alike: a high-water mark's delta reads as "growth observed during the
+/// span", and the spans still telescope to the engine total.
+enum class CounterFold { kSum, kMax };
+
+/// \brief The counter registry: one `X(name, fold)` row per ExecStats
+/// counter, in wire order — the key order of StatsToJson, the trace layer
+/// and ExecStats::ToString. Both stats structs and kExecCounters are
+/// generated from it, and every fold and rendering loops over
+/// kExecCounters, so adding a counter is one row here plus the code that
+/// bumps it.
+#define MAPINV_EXEC_COUNTERS(X)                                              \
+  /* Triggers fired by chase engines (a skipped satisfied trigger does not   \
+     count). */                                                              \
+  X(chase_steps, kSum)                                                       \
+  /* Homomorphism enumerations started. */                                   \
+  X(hom_searches, kSum)                                                      \
+  /* Candidate tuples rejected during homomorphism search (the backtrack     \
+     count of the hot loop). */                                              \
+  X(hom_backtracks, kSum)                                                    \
+  /* Join plans compiled by HomSearch (cache misses of the plan table; a     \
+     high ratio to the searches started means rules are not being            \
+     reused). */                                                             \
+  X(hom_plans_compiled, kSum)                                                \
+  /* Candidate tuples drawn from index buckets (or full scans) by the        \
+     compiled executor. candidates - backtracks = accepted extensions. */    \
+  X(hom_bucket_candidates, kSum)                                             \
+  /* Variable slots written by the compiled executor's bind ops — the flat   \
+     array writes that replace per-binding hash-map inserts. */              \
+  X(hom_slot_bindings, kSum)                                                 \
+  /* EvalCache hits / misses attributable to this execution. Counted at the  \
+     cache lookups themselves (EvalCache::GetBool/GetInstance take the       \
+     sink), so two concurrent executions never cross-attribute traffic. */   \
+  X(cache_hits, kSum)                                                        \
+  X(cache_misses, kSum)                                                      \
+  /* High-water mark of Instance::ArenaBytes() observed by chase engines at  \
+     completion (bytes of flat tuple payload; indexes/dedup excluded). */    \
+  X(tuples_arena_bytes, kMax)                                                \
+  /* Rows incorporated into instance-owned (position,value) indexes by lazy  \
+     catch-up (Instance::IndexFor). Each row is indexed once per store       \
+     however many HomSearch objects read it — the regression guard that     \
+     HomSearch construction no longer rebuilds buckets. */                   \
+  X(index_catchup_rows, kSum)                                                \
+  /* Candidate blocks pushed through the vectorized executor's check/bind    \
+     micro-op pipeline (seed blocks plus expansion flushes; see              \
+     eval/vector_plan.h). */                                                 \
+  X(vector_blocks_scanned, kSum)                                             \
+  /* Candidate rows entering vectorized blocks. The vectorized counterpart   \
+     of the compiled executor's bucket candidates — the two paths count      \
+     into separate counters, so either one alone describes the work its      \
+     path did. */                                                            \
+  X(vector_rows_scanned, kSum)                                               \
+  /* Rows surviving a vectorized block's whole op pipeline (the selection    \
+     vector's final population). Over the rows scanned, this is the          \
+     selection density. */                                                   \
+  X(vector_rows_selected, kSum)                                              \
+  /* Rows newly inserted through the bulk Instance::AddRows fire path (the   \
+     batched counterpart of per-row AddRow inserts). */                      \
+  X(bulk_rows_appended, kSum)                                                \
+  /* Copy-on-write world forks taken by the disjunctive chase engines        \
+     (reverse chase and SO-inverse worlds). */                               \
+  X(worlds_forked, kSum)                                                     \
+  /* Storage segments evicted to the spill file because an instance          \
+     exceeded its memory budget (Instance::SetMemoryBudget). A segment       \
+     evicted, faulted back, and evicted again counts twice. */               \
+  X(segments_spilled, kSum)                                                  \
+  /* Spilled segments faulted back to heap by a read. */                     \
+  X(segments_faulted, kSum)                                                  \
+  /* High-water mark of Instance::ResidentBytes() — the heap-resident        \
+     subset of the arena bytes (spilled and snapshot-mapped segments         \
+     excluded). This is the quantity memory_budget_bytes bounds. */          \
+  X(arena_resident_bytes, kMax)                                              \
+  /* Vectorized executions routed to the scalar interpreter because the      \
+     compiled plan exceeded ExecutionOptions::vector_max_plan_steps. A       \
+     nonzero count explains why the vector counters stay low on a            \
+     vectorized run. */                                                      \
+  X(vector_plan_fallbacks, kSum)                                             \
+  /* Spill-file reads retried after a transient I/O failure before a         \
+     segment fault-in succeeded (or gave up — see Segment::FaultIn). A       \
+     nonzero count on a healthy run points at flaky storage under the spill  \
+     directory. */                                                           \
+  X(segment_faultin_retries, kSum)                                           \
+  /* Durable job checkpoints committed (manifest renamed into place) by      \
+     checkpointed world enumeration (see src/job/job.h). */                  \
+  X(jobs_checkpointed, kSum)                                                 \
+  /* Worlds restored from checkpoint snapshots instead of being re-derived,  \
+     when a run resumed from ExecutionOptions::checkpoint_dir. */            \
+  X(worlds_resumed, kSum)                                                    \
+  /* Bytes of checkpoint state (world snapshots + manifests) written         \
+     durably to the job directory. */                                        \
+  X(checkpoint_bytes, kSum)
+
 /// \brief Plain (non-atomic) copy of ExecStats counters — the unit traded
-/// between ExecStats and the trace layer.
+/// between ExecStats, the trace layer and the serving layer's lifetime
+/// totals.
 struct ExecStatsSnapshot {
   /// True if the producing execution degraded to a partial result (see
-  /// ExecutionOptions::on_exhausted). Boolean, not a counter: the trace
-  /// layer ORs it across spans instead of summing.
+  /// ExecutionOptions::on_exhausted). Boolean, not a counter: every fold
+  /// ORs it instead of summing.
   bool partial = false;
-  uint64_t chase_steps = 0;
-  uint64_t hom_backtracks = 0;
-  uint64_t hom_searches = 0;
-  uint64_t hom_plans_compiled = 0;
-  uint64_t hom_bucket_candidates = 0;
-  uint64_t hom_slot_bindings = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t tuples_arena_bytes = 0;
-  uint64_t index_catchup_rows = 0;
-  uint64_t worlds_forked = 0;
-  uint64_t vector_blocks_scanned = 0;
-  uint64_t vector_rows_scanned = 0;
-  uint64_t vector_rows_selected = 0;
-  uint64_t bulk_rows_appended = 0;
-  uint64_t segments_spilled = 0;
-  uint64_t segments_faulted = 0;
-  uint64_t arena_resident_bytes = 0;
-  uint64_t vector_plan_fallbacks = 0;
-  uint64_t segment_faultin_retries = 0;
-  uint64_t jobs_checkpointed = 0;
-  uint64_t worlds_resumed = 0;
-  uint64_t checkpoint_bytes = 0;
+#define MAPINV_SNAPSHOT_FIELD(name, fold) uint64_t name = 0;
+  MAPINV_EXEC_COUNTERS(MAPINV_SNAPSHOT_FIELD)
+#undef MAPINV_SNAPSHOT_FIELD
+
+  /// Folds another execution's counters into these lifetime totals, each by
+  /// its CounterFold.
+  void Merge(const ExecStatsSnapshot& other);
 };
 
 /// \brief Counters an execution can stream into (pass `&stats` via
 /// ExecutionOptions::stats). All atomics: one sink may be shared by
 /// concurrent workers and by several sequential operations.
 struct ExecStats {
-  /// Triggers fired by chase engines (a skipped satisfied trigger does not
-  /// count).
-  std::atomic<uint64_t> chase_steps{0};
-  /// Candidate tuples rejected during homomorphism search (the backtrack
-  /// count of the hot loop).
-  std::atomic<uint64_t> hom_backtracks{0};
-  /// Homomorphism enumerations started.
-  std::atomic<uint64_t> hom_searches{0};
-  /// Join plans compiled by HomSearch (cache misses of the plan table; a
-  /// high ratio to hom_searches means rules are not being reused).
-  std::atomic<uint64_t> hom_plans_compiled{0};
-  /// Candidate tuples drawn from index buckets (or full scans) by the
-  /// compiled executor. candidates - backtracks = accepted extensions.
-  std::atomic<uint64_t> hom_bucket_candidates{0};
-  /// Variable slots written by the compiled executor's bind ops — the flat
-  /// array writes that replace per-binding hash-map inserts.
-  std::atomic<uint64_t> hom_slot_bindings{0};
-  /// EvalCache hits / misses attributable to this execution. Counted at the
-  /// cache lookups themselves (EvalCache::GetBool/GetInstance take the
-  /// sink), so two concurrent executions never cross-attribute traffic.
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  /// High-water mark of Instance::ArenaBytes() observed by chase engines at
-  /// completion (bytes of flat tuple payload; indexes/dedup excluded).
-  /// Updated via max, not sum, so re-running a pipeline stage over the same
-  /// output reports the same footprint.
-  std::atomic<uint64_t> tuples_arena_bytes{0};
-  /// Rows incorporated into instance-owned (position,value) indexes by lazy
-  /// catch-up (Instance::IndexFor). Each row is indexed once per store
-  /// however many HomSearch objects read it — the regression guard that
-  /// HomSearch construction no longer rebuilds buckets.
-  std::atomic<uint64_t> index_catchup_rows{0};
-  /// Copy-on-write world forks taken by the disjunctive chase engines
-  /// (reverse chase and SO-inverse worlds).
-  std::atomic<uint64_t> worlds_forked{0};
-  /// Candidate blocks pushed through the vectorized executor's check/bind
-  /// micro-op pipeline (seed blocks plus expansion flushes; see
-  /// eval/vector_plan.h).
-  std::atomic<uint64_t> vector_blocks_scanned{0};
-  /// Candidate rows entering vectorized blocks. The vectorized counterpart
-  /// of hom_bucket_candidates — the two paths count into separate counters,
-  /// so either one alone describes the work its path did.
-  std::atomic<uint64_t> vector_rows_scanned{0};
-  /// Rows surviving a vectorized block's whole op pipeline (the selection
-  /// vector's final population). vector_rows_selected / vector_rows_scanned
-  /// is the selection density.
-  std::atomic<uint64_t> vector_rows_selected{0};
-  /// Rows newly inserted through the bulk Instance::AddRows fire path (the
-  /// batched counterpart of per-row AddRow inserts).
-  std::atomic<uint64_t> bulk_rows_appended{0};
-  /// Storage segments evicted to the spill file because an instance exceeded
-  /// its memory budget (Instance::SetMemoryBudget). A segment evicted,
-  /// faulted back, and evicted again counts twice.
-  std::atomic<uint64_t> segments_spilled{0};
-  /// Spilled segments faulted back to heap by a read.
-  std::atomic<uint64_t> segments_faulted{0};
-  /// High-water mark of Instance::ResidentBytes() — the heap-resident subset
-  /// of tuples_arena_bytes (spilled and snapshot-mapped segments excluded).
-  /// Updated via max like tuples_arena_bytes; this is the quantity
-  /// memory_budget_bytes bounds.
-  std::atomic<uint64_t> arena_resident_bytes{0};
-  /// Vectorized executions routed to the scalar interpreter because the
-  /// compiled plan exceeded ExecutionOptions::vector_max_plan_steps. A
-  /// nonzero count explains why vector_* counters stay low on a vectorized
-  /// run.
-  std::atomic<uint64_t> vector_plan_fallbacks{0};
-  /// Spill-file reads retried after a transient I/O failure before a segment
-  /// fault-in succeeded (or gave up — see Segment::FaultIn). A nonzero count
-  /// on a healthy run points at flaky storage under the spill directory.
-  std::atomic<uint64_t> segment_faultin_retries{0};
-  /// Durable job checkpoints committed (manifest renamed into place) by
-  /// checkpointed world enumeration (see src/job/job.h).
-  std::atomic<uint64_t> jobs_checkpointed{0};
-  /// Worlds restored from checkpoint snapshots instead of being re-derived,
-  /// when a run resumed from ExecutionOptions::checkpoint_dir.
-  std::atomic<uint64_t> worlds_resumed{0};
-  /// Bytes of checkpoint state (world snapshots + manifests) written durably
-  /// to the job directory.
-  std::atomic<uint64_t> checkpoint_bytes{0};
+#define MAPINV_LIVE_FIELD(name, fold) std::atomic<uint64_t> name{0};
+  MAPINV_EXEC_COUNTERS(MAPINV_LIVE_FIELD)
+#undef MAPINV_LIVE_FIELD
   /// Set when an execution running with on_exhausted == kPartial hit a
   /// deadline/limit/cancellation and returned the best sound result so far
   /// instead of failing. Sticky across operations sharing the sink until
@@ -194,115 +200,95 @@ struct ExecStats {
 
   /// Records a new arena-bytes observation (monotonic max).
   void ObserveArenaBytes(uint64_t bytes) {
-    uint64_t seen = tuples_arena_bytes.load(std::memory_order_relaxed);
-    while (seen < bytes && !tuples_arena_bytes.compare_exchange_weak(
-                               seen, bytes, std::memory_order_relaxed)) {
-    }
+    StoreMax(tuples_arena_bytes, bytes);
   }
 
   /// Records a new resident-bytes observation (monotonic max).
   void ObserveResidentBytes(uint64_t bytes) {
-    uint64_t seen = arena_resident_bytes.load(std::memory_order_relaxed);
-    while (seen < bytes && !arena_resident_bytes.compare_exchange_weak(
-                               seen, bytes, std::memory_order_relaxed)) {
+    StoreMax(arena_resident_bytes, bytes);
+  }
+
+  void Reset();
+  ExecStatsSnapshot Snapshot() const;
+  /// Folds a finished execution's counters into this lifetime sink, each by
+  /// its CounterFold.
+  void Absorb(const ExecStatsSnapshot& finished);
+  /// "name=value" for every counter in wire order, then "partial=...".
+  std::string ToString() const;
+
+ private:
+  /// Raises `counter` to `value` if it is lower (a monotonic max).
+  static void StoreMax(std::atomic<uint64_t>& counter, uint64_t value) {
+    uint64_t seen = counter.load(std::memory_order_relaxed);
+    while (seen < value && !counter.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
     }
   }
-
-  void Reset() {
-    chase_steps = 0;
-    hom_backtracks = 0;
-    hom_searches = 0;
-    hom_plans_compiled = 0;
-    hom_bucket_candidates = 0;
-    hom_slot_bindings = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    tuples_arena_bytes = 0;
-    index_catchup_rows = 0;
-    worlds_forked = 0;
-    vector_blocks_scanned = 0;
-    vector_rows_scanned = 0;
-    vector_rows_selected = 0;
-    bulk_rows_appended = 0;
-    segments_spilled = 0;
-    segments_faulted = 0;
-    arena_resident_bytes = 0;
-    vector_plan_fallbacks = 0;
-    segment_faultin_retries = 0;
-    jobs_checkpointed = 0;
-    worlds_resumed = 0;
-    checkpoint_bytes = 0;
-    partial = false;
-  }
-
-  ExecStatsSnapshot Snapshot() const {
-    ExecStatsSnapshot s;
-    s.chase_steps = chase_steps.load(std::memory_order_relaxed);
-    s.hom_backtracks = hom_backtracks.load(std::memory_order_relaxed);
-    s.hom_searches = hom_searches.load(std::memory_order_relaxed);
-    s.hom_plans_compiled = hom_plans_compiled.load(std::memory_order_relaxed);
-    s.hom_bucket_candidates =
-        hom_bucket_candidates.load(std::memory_order_relaxed);
-    s.hom_slot_bindings = hom_slot_bindings.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses = cache_misses.load(std::memory_order_relaxed);
-    s.tuples_arena_bytes = tuples_arena_bytes.load(std::memory_order_relaxed);
-    s.index_catchup_rows = index_catchup_rows.load(std::memory_order_relaxed);
-    s.worlds_forked = worlds_forked.load(std::memory_order_relaxed);
-    s.vector_blocks_scanned =
-        vector_blocks_scanned.load(std::memory_order_relaxed);
-    s.vector_rows_scanned = vector_rows_scanned.load(std::memory_order_relaxed);
-    s.vector_rows_selected =
-        vector_rows_selected.load(std::memory_order_relaxed);
-    s.bulk_rows_appended = bulk_rows_appended.load(std::memory_order_relaxed);
-    s.segments_spilled = segments_spilled.load(std::memory_order_relaxed);
-    s.segments_faulted = segments_faulted.load(std::memory_order_relaxed);
-    s.arena_resident_bytes =
-        arena_resident_bytes.load(std::memory_order_relaxed);
-    s.vector_plan_fallbacks =
-        vector_plan_fallbacks.load(std::memory_order_relaxed);
-    s.segment_faultin_retries =
-        segment_faultin_retries.load(std::memory_order_relaxed);
-    s.jobs_checkpointed = jobs_checkpointed.load(std::memory_order_relaxed);
-    s.worlds_resumed = worlds_resumed.load(std::memory_order_relaxed);
-    s.checkpoint_bytes = checkpoint_bytes.load(std::memory_order_relaxed);
-    s.partial = partial.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  std::string ToString() const {
-    return "chase_steps=" + std::to_string(chase_steps.load()) +
-           " hom_searches=" + std::to_string(hom_searches.load()) +
-           " hom_backtracks=" + std::to_string(hom_backtracks.load()) +
-           " hom_plans_compiled=" + std::to_string(hom_plans_compiled.load()) +
-           " hom_bucket_candidates=" +
-           std::to_string(hom_bucket_candidates.load()) +
-           " hom_slot_bindings=" + std::to_string(hom_slot_bindings.load()) +
-           " cache_hits=" + std::to_string(cache_hits.load()) +
-           " cache_misses=" + std::to_string(cache_misses.load()) +
-           " tuples_arena_bytes=" + std::to_string(tuples_arena_bytes.load()) +
-           " index_catchup_rows=" + std::to_string(index_catchup_rows.load()) +
-           " worlds_forked=" + std::to_string(worlds_forked.load()) +
-           " vector_blocks_scanned=" +
-           std::to_string(vector_blocks_scanned.load()) +
-           " vector_rows_scanned=" + std::to_string(vector_rows_scanned.load()) +
-           " vector_rows_selected=" +
-           std::to_string(vector_rows_selected.load()) +
-           " bulk_rows_appended=" + std::to_string(bulk_rows_appended.load()) +
-           " segments_spilled=" + std::to_string(segments_spilled.load()) +
-           " segments_faulted=" + std::to_string(segments_faulted.load()) +
-           " arena_resident_bytes=" +
-           std::to_string(arena_resident_bytes.load()) +
-           " vector_plan_fallbacks=" +
-           std::to_string(vector_plan_fallbacks.load()) +
-           " segment_faultin_retries=" +
-           std::to_string(segment_faultin_retries.load()) +
-           " jobs_checkpointed=" + std::to_string(jobs_checkpointed.load()) +
-           " worlds_resumed=" + std::to_string(worlds_resumed.load()) +
-           " checkpoint_bytes=" + std::to_string(checkpoint_bytes.load()) +
-           " partial=" + (partial.load() ? "true" : "false");
-  }
 };
+
+/// \brief One row of MAPINV_EXEC_COUNTERS as data: the counter's wire name,
+/// its fold, and the field it names in each stats struct.
+struct ExecCounter {
+  std::string_view name;
+  CounterFold fold;
+  uint64_t ExecStatsSnapshot::*value;
+  std::atomic<uint64_t> ExecStats::*live;
+};
+
+/// \brief Every counter, in wire order.
+inline constexpr ExecCounter kExecCounters[] = {
+#define MAPINV_COUNTER_ROW(name, fold) \
+  {#name, CounterFold::fold, &ExecStatsSnapshot::name, &ExecStats::name},
+    MAPINV_EXEC_COUNTERS(MAPINV_COUNTER_ROW)
+#undef MAPINV_COUNTER_ROW
+};
+
+inline void ExecStatsSnapshot::Merge(const ExecStatsSnapshot& other) {
+  for (const ExecCounter& c : kExecCounters) {
+    uint64_t& mine = this->*c.value;
+    const uint64_t theirs = other.*c.value;
+    mine = c.fold == CounterFold::kMax ? std::max(mine, theirs)
+                                       : mine + theirs;
+  }
+  partial = partial || other.partial;
+}
+
+inline void ExecStats::Reset() {
+  for (const ExecCounter& c : kExecCounters) this->*c.live = 0;
+  partial = false;
+}
+
+inline ExecStatsSnapshot ExecStats::Snapshot() const {
+  ExecStatsSnapshot s;
+  for (const ExecCounter& c : kExecCounters) {
+    s.*c.value = (this->*c.live).load(std::memory_order_relaxed);
+  }
+  s.partial = partial.load(std::memory_order_relaxed);
+  return s;
+}
+
+inline void ExecStats::Absorb(const ExecStatsSnapshot& finished) {
+  for (const ExecCounter& c : kExecCounters) {
+    if (c.fold == CounterFold::kMax) {
+      StoreMax(this->*c.live, finished.*c.value);
+    } else {
+      (this->*c.live).fetch_add(finished.*c.value, std::memory_order_relaxed);
+    }
+  }
+  if (finished.partial) partial.store(true, std::memory_order_relaxed);
+}
+
+inline std::string ExecStats::ToString() const {
+  std::string out;
+  for (const ExecCounter& c : kExecCounters) {
+    out += c.name;
+    out += '=';
+    out += std::to_string((this->*c.live).load());
+    out += ' ';
+  }
+  out += partial.load() ? "partial=true" : "partial=false";
+  return out;
+}
 
 /// \brief Resolved wall-clock deadline, computed once at pipeline entry and
 /// carried (by pointer, via ExecutionOptions::deadline) through every stage

@@ -9,6 +9,7 @@
 #include "chase/maintained.h"
 #include "chase/round_trip.h"
 #include "check/properties.h"
+#include "engine/trace.h"
 #include "eval/instance_core.h"
 #include "inversion/compose.h"
 #include "inversion/cq_maximum_recovery.h"
@@ -148,10 +149,13 @@ Result<ExecOutcome> Dispatch(const EngineRequest& request,
             ? Result<Instance>(request.bound_instance->Snapshot())
             : ParseInstanceInferSchema(request.instance);
     MAPINV_RETURN_NOT_OK(parsed.status());
-    MAPINV_ASSIGN_OR_RETURN(Instance core,
-                            CoreOfInstance(*parsed, options.stats));
-    ExecOutcome outcome{ResultKind::kInstance, core.ToString() + "\n"};
-    outcome.instance = std::make_shared<const Instance>(std::move(core));
+    Result<Instance> core = [&] {
+      ScopedTraceSpan span(options, "core");
+      return CoreOfInstance(*parsed, options.stats);
+    }();
+    MAPINV_RETURN_NOT_OK(core.status());
+    ExecOutcome outcome{ResultKind::kInstance, core->ToString() + "\n"};
+    outcome.instance = std::make_shared<const Instance>(std::move(*core));
     return outcome;
   }
   if (command == "so-invert") {
@@ -305,50 +309,6 @@ Result<ExecOutcome> Dispatch(const EngineRequest& request,
   return Status::InvalidArgument("unknown command '" + command + "'");
 }
 
-// Accumulates a finished request's counters into the transport's lifetime
-// sink (plain atomic adds; `partial` ORs).
-void AccumulateInto(const ExecStatsSnapshot& s, ExecStats* sink) {
-  if (sink == nullptr) return;
-  sink->chase_steps.fetch_add(s.chase_steps, std::memory_order_relaxed);
-  sink->hom_backtracks.fetch_add(s.hom_backtracks, std::memory_order_relaxed);
-  sink->hom_searches.fetch_add(s.hom_searches, std::memory_order_relaxed);
-  sink->hom_plans_compiled.fetch_add(s.hom_plans_compiled,
-                                     std::memory_order_relaxed);
-  sink->hom_bucket_candidates.fetch_add(s.hom_bucket_candidates,
-                                        std::memory_order_relaxed);
-  sink->hom_slot_bindings.fetch_add(s.hom_slot_bindings,
-                                    std::memory_order_relaxed);
-  sink->cache_hits.fetch_add(s.cache_hits, std::memory_order_relaxed);
-  sink->cache_misses.fetch_add(s.cache_misses, std::memory_order_relaxed);
-  sink->ObserveArenaBytes(s.tuples_arena_bytes);
-  sink->index_catchup_rows.fetch_add(s.index_catchup_rows,
-                                     std::memory_order_relaxed);
-  sink->vector_blocks_scanned.fetch_add(s.vector_blocks_scanned,
-                                        std::memory_order_relaxed);
-  sink->vector_rows_scanned.fetch_add(s.vector_rows_scanned,
-                                      std::memory_order_relaxed);
-  sink->vector_rows_selected.fetch_add(s.vector_rows_selected,
-                                       std::memory_order_relaxed);
-  sink->bulk_rows_appended.fetch_add(s.bulk_rows_appended,
-                                     std::memory_order_relaxed);
-  sink->worlds_forked.fetch_add(s.worlds_forked, std::memory_order_relaxed);
-  sink->segments_spilled.fetch_add(s.segments_spilled,
-                                   std::memory_order_relaxed);
-  sink->segments_faulted.fetch_add(s.segments_faulted,
-                                   std::memory_order_relaxed);
-  sink->ObserveResidentBytes(s.arena_resident_bytes);
-  sink->vector_plan_fallbacks.fetch_add(s.vector_plan_fallbacks,
-                                        std::memory_order_relaxed);
-  sink->segment_faultin_retries.fetch_add(s.segment_faultin_retries,
-                                          std::memory_order_relaxed);
-  sink->jobs_checkpointed.fetch_add(s.jobs_checkpointed,
-                                    std::memory_order_relaxed);
-  sink->worlds_resumed.fetch_add(s.worlds_resumed, std::memory_order_relaxed);
-  sink->checkpoint_bytes.fetch_add(s.checkpoint_bytes,
-                                   std::memory_order_relaxed);
-  if (s.partial) sink->partial.store(true, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 const char* ResultKindName(ResultKind kind) {
@@ -447,7 +407,7 @@ EngineResponse ExecuteRequest(const EngineRequest& request,
   Result<ExecOutcome> outcome = Dispatch(request, options);
   response.stats = stats.Snapshot();
   response.partial = response.stats.partial;
-  AccumulateInto(response.stats, base.stats);
+  if (base.stats != nullptr) base.stats->Absorb(response.stats);
   if (!outcome.ok()) {
     response.status = outcome.status();
     return response;
@@ -616,29 +576,7 @@ Json EngineRequestToJson(const EngineRequest& request) {
 
 Json StatsToJson(const ExecStatsSnapshot& s) {
   Json json = Json::MakeObject();
-  json.Set("chase_steps", Json(s.chase_steps));
-  json.Set("hom_searches", Json(s.hom_searches));
-  json.Set("hom_backtracks", Json(s.hom_backtracks));
-  json.Set("hom_plans_compiled", Json(s.hom_plans_compiled));
-  json.Set("hom_bucket_candidates", Json(s.hom_bucket_candidates));
-  json.Set("hom_slot_bindings", Json(s.hom_slot_bindings));
-  json.Set("cache_hits", Json(s.cache_hits));
-  json.Set("cache_misses", Json(s.cache_misses));
-  json.Set("tuples_arena_bytes", Json(s.tuples_arena_bytes));
-  json.Set("index_catchup_rows", Json(s.index_catchup_rows));
-  json.Set("vector_blocks_scanned", Json(s.vector_blocks_scanned));
-  json.Set("vector_rows_scanned", Json(s.vector_rows_scanned));
-  json.Set("vector_rows_selected", Json(s.vector_rows_selected));
-  json.Set("bulk_rows_appended", Json(s.bulk_rows_appended));
-  json.Set("worlds_forked", Json(s.worlds_forked));
-  json.Set("segments_spilled", Json(s.segments_spilled));
-  json.Set("segments_faulted", Json(s.segments_faulted));
-  json.Set("arena_resident_bytes", Json(s.arena_resident_bytes));
-  json.Set("vector_plan_fallbacks", Json(s.vector_plan_fallbacks));
-  json.Set("segment_faultin_retries", Json(s.segment_faultin_retries));
-  json.Set("jobs_checkpointed", Json(s.jobs_checkpointed));
-  json.Set("worlds_resumed", Json(s.worlds_resumed));
-  json.Set("checkpoint_bytes", Json(s.checkpoint_bytes));
+  for (const ExecCounter& c : kExecCounters) json.Set(c.name, Json(s.*c.value));
   json.Set("partial", Json(s.partial));
   return json;
 }

@@ -14,67 +14,15 @@ ExecStatsSnapshot Delta(const ExecStatsSnapshot& now,
   // at exit (it is sticky within a run, so "set at exit" covers "set during
   // the span or before it" — good enough for "was anything cut short").
   d.partial = now.partial;
-  d.chase_steps = now.chase_steps - then.chase_steps;
-  d.hom_backtracks = now.hom_backtracks - then.hom_backtracks;
-  d.hom_searches = now.hom_searches - then.hom_searches;
-  d.hom_plans_compiled = now.hom_plans_compiled - then.hom_plans_compiled;
-  d.hom_bucket_candidates =
-      now.hom_bucket_candidates - then.hom_bucket_candidates;
-  d.hom_slot_bindings = now.hom_slot_bindings - then.hom_slot_bindings;
-  d.cache_hits = now.cache_hits - then.cache_hits;
-  d.cache_misses = now.cache_misses - then.cache_misses;
-  // tuples_arena_bytes is a monotonic high-water mark, so its delta reads as
-  // "footprint growth observed during the span".
-  d.tuples_arena_bytes = now.tuples_arena_bytes - then.tuples_arena_bytes;
-  d.index_catchup_rows = now.index_catchup_rows - then.index_catchup_rows;
-  d.vector_blocks_scanned =
-      now.vector_blocks_scanned - then.vector_blocks_scanned;
-  d.vector_rows_scanned = now.vector_rows_scanned - then.vector_rows_scanned;
-  d.vector_rows_selected =
-      now.vector_rows_selected - then.vector_rows_selected;
-  d.bulk_rows_appended = now.bulk_rows_appended - then.bulk_rows_appended;
-  d.worlds_forked = now.worlds_forked - then.worlds_forked;
-  d.segments_spilled = now.segments_spilled - then.segments_spilled;
-  d.segments_faulted = now.segments_faulted - then.segments_faulted;
-  // Like tuples_arena_bytes: a monotonic high-water mark, so the delta is
-  // "resident-footprint growth observed during the span" and spans still
-  // telescope to the engine total.
-  d.arena_resident_bytes = now.arena_resident_bytes - then.arena_resident_bytes;
-  d.vector_plan_fallbacks =
-      now.vector_plan_fallbacks - then.vector_plan_fallbacks;
-  d.segment_faultin_retries =
-      now.segment_faultin_retries - then.segment_faultin_retries;
-  d.jobs_checkpointed = now.jobs_checkpointed - then.jobs_checkpointed;
-  d.worlds_resumed = now.worlds_resumed - then.worlds_resumed;
-  d.checkpoint_bytes = now.checkpoint_bytes - then.checkpoint_bytes;
+  for (const ExecCounter& c : kExecCounters) {
+    d.*c.value = now.*c.value - then.*c.value;
+  }
   return d;
 }
 
 void Accumulate(ExecStatsSnapshot& into, const ExecStatsSnapshot& d) {
   into.partial = into.partial || d.partial;
-  into.chase_steps += d.chase_steps;
-  into.hom_backtracks += d.hom_backtracks;
-  into.hom_searches += d.hom_searches;
-  into.hom_plans_compiled += d.hom_plans_compiled;
-  into.hom_bucket_candidates += d.hom_bucket_candidates;
-  into.hom_slot_bindings += d.hom_slot_bindings;
-  into.cache_hits += d.cache_hits;
-  into.cache_misses += d.cache_misses;
-  into.tuples_arena_bytes += d.tuples_arena_bytes;
-  into.index_catchup_rows += d.index_catchup_rows;
-  into.vector_blocks_scanned += d.vector_blocks_scanned;
-  into.vector_rows_scanned += d.vector_rows_scanned;
-  into.vector_rows_selected += d.vector_rows_selected;
-  into.bulk_rows_appended += d.bulk_rows_appended;
-  into.worlds_forked += d.worlds_forked;
-  into.segments_spilled += d.segments_spilled;
-  into.segments_faulted += d.segments_faulted;
-  into.arena_resident_bytes += d.arena_resident_bytes;
-  into.vector_plan_fallbacks += d.vector_plan_fallbacks;
-  into.segment_faultin_retries += d.segment_faultin_retries;
-  into.jobs_checkpointed += d.jobs_checkpointed;
-  into.worlds_resumed += d.worlds_resumed;
-  into.checkpoint_bytes += d.checkpoint_bytes;
+  for (const ExecCounter& c : kExecCounters) into.*c.value += d.*c.value;
 }
 
 std::string FormatMs(double ms) {
@@ -87,41 +35,13 @@ void AppendText(const TraceSpan& span, int depth, std::string& out) {
   out.append(static_cast<size_t>(depth) * 2, ' ');
   out += span.name;
   if (span.count > 1) out += " x" + std::to_string(span.count);
-  out += "  " + FormatMs(span.wall_ms) + " ms";
-  out += "  chase_steps=" + std::to_string(span.stats.chase_steps);
-  out += " hom_searches=" + std::to_string(span.stats.hom_searches);
-  out += " hom_backtracks=" + std::to_string(span.stats.hom_backtracks);
-  out += " hom_plans_compiled=" +
-         std::to_string(span.stats.hom_plans_compiled);
-  out += " hom_bucket_candidates=" +
-         std::to_string(span.stats.hom_bucket_candidates);
-  out += " hom_slot_bindings=" + std::to_string(span.stats.hom_slot_bindings);
-  out += " cache_hits=" + std::to_string(span.stats.cache_hits);
-  out += " cache_misses=" + std::to_string(span.stats.cache_misses);
-  out += " tuples_arena_bytes=" +
-         std::to_string(span.stats.tuples_arena_bytes);
-  out += " index_catchup_rows=" +
-         std::to_string(span.stats.index_catchup_rows);
-  out += " vector_blocks_scanned=" +
-         std::to_string(span.stats.vector_blocks_scanned);
-  out += " vector_rows_scanned=" +
-         std::to_string(span.stats.vector_rows_scanned);
-  out += " vector_rows_selected=" +
-         std::to_string(span.stats.vector_rows_selected);
-  out += " bulk_rows_appended=" +
-         std::to_string(span.stats.bulk_rows_appended);
-  out += " worlds_forked=" + std::to_string(span.stats.worlds_forked);
-  out += " segments_spilled=" + std::to_string(span.stats.segments_spilled);
-  out += " segments_faulted=" + std::to_string(span.stats.segments_faulted);
-  out += " arena_resident_bytes=" +
-         std::to_string(span.stats.arena_resident_bytes);
-  out += " vector_plan_fallbacks=" +
-         std::to_string(span.stats.vector_plan_fallbacks);
-  out += " segment_faultin_retries=" +
-         std::to_string(span.stats.segment_faultin_retries);
-  out += " jobs_checkpointed=" + std::to_string(span.stats.jobs_checkpointed);
-  out += " worlds_resumed=" + std::to_string(span.stats.worlds_resumed);
-  out += " checkpoint_bytes=" + std::to_string(span.stats.checkpoint_bytes);
+  out += "  " + FormatMs(span.wall_ms) + " ms ";
+  for (const ExecCounter& c : kExecCounters) {
+    out += ' ';
+    out += c.name;
+    out += '=';
+    out += std::to_string(span.stats.*c.value);
+  }
   if (span.stats.partial) out += " partial=true";
   out += "\n";
   for (const auto& child : span.children) {
@@ -130,41 +50,14 @@ void AppendText(const TraceSpan& span, int depth, std::string& out) {
 }
 
 void AppendStatsJson(const ExecStatsSnapshot& stats, std::string& out) {
-  out += "\"chase_steps\":" + std::to_string(stats.chase_steps);
-  out += ",\"hom_searches\":" + std::to_string(stats.hom_searches);
-  out += ",\"hom_backtracks\":" + std::to_string(stats.hom_backtracks);
-  out += ",\"hom_plans_compiled\":" +
-         std::to_string(stats.hom_plans_compiled);
-  out += ",\"hom_bucket_candidates\":" +
-         std::to_string(stats.hom_bucket_candidates);
-  out += ",\"hom_slot_bindings\":" + std::to_string(stats.hom_slot_bindings);
-  out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(stats.cache_misses);
-  out += ",\"tuples_arena_bytes\":" +
-         std::to_string(stats.tuples_arena_bytes);
-  out += ",\"index_catchup_rows\":" +
-         std::to_string(stats.index_catchup_rows);
-  out += ",\"vector_blocks_scanned\":" +
-         std::to_string(stats.vector_blocks_scanned);
-  out += ",\"vector_rows_scanned\":" +
-         std::to_string(stats.vector_rows_scanned);
-  out += ",\"vector_rows_selected\":" +
-         std::to_string(stats.vector_rows_selected);
-  out += ",\"bulk_rows_appended\":" +
-         std::to_string(stats.bulk_rows_appended);
-  out += ",\"worlds_forked\":" + std::to_string(stats.worlds_forked);
-  out += ",\"segments_spilled\":" + std::to_string(stats.segments_spilled);
-  out += ",\"segments_faulted\":" + std::to_string(stats.segments_faulted);
-  out += ",\"arena_resident_bytes\":" +
-         std::to_string(stats.arena_resident_bytes);
-  out += ",\"vector_plan_fallbacks\":" +
-         std::to_string(stats.vector_plan_fallbacks);
-  out += ",\"segment_faultin_retries\":" +
-         std::to_string(stats.segment_faultin_retries);
-  out += ",\"jobs_checkpointed\":" + std::to_string(stats.jobs_checkpointed);
-  out += ",\"worlds_resumed\":" + std::to_string(stats.worlds_resumed);
-  out += ",\"checkpoint_bytes\":" + std::to_string(stats.checkpoint_bytes);
-  out += ",\"partial\":";
+  for (const ExecCounter& c : kExecCounters) {
+    out += '"';
+    out += c.name;
+    out += "\":";
+    out += std::to_string(stats.*c.value);
+    out += ',';
+  }
+  out += "\"partial\":";
   out += stats.partial ? "true" : "false";
 }
 

@@ -145,4 +145,26 @@ Result<AnswerSet> EvaluateUnionCq(const UnionCq& query,
   return MakeAnswerSet(std::move(raw));
 }
 
+Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
+                                    const ConjunctiveQuery& query,
+                                    ExecStats* stats) {
+  if (worlds.empty()) {
+    return Status::Malformed("certain answers over an empty world set");
+  }
+  bool first = true;
+  AnswerSet certain;
+  for (const Instance& world : worlds) {
+    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers,
+                            EvaluateCq(query, world, stats));
+    AnswerSet c = answers.CertainOnly();
+    if (first) {
+      certain = std::move(c);
+      first = false;
+    } else {
+      certain = certain.Intersect(c);
+    }
+  }
+  return certain;
+}
+
 }  // namespace mapinv

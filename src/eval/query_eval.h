@@ -69,6 +69,14 @@ Result<AnswerSet> EvaluateUnionCq(const UnionCq& query,
                                   const Instance& instance,
                                   ExecStats* stats = nullptr);
 
+/// Certain answers of `query` over a set of possible worlds: the
+/// intersection of the per-world certain (null-free) answers. Fails on an
+/// empty world set; callers that can name why their set is empty check
+/// first. `stats` (optional) receives the homomorphism-search counters.
+Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
+                                    const ConjunctiveQuery& query,
+                                    ExecStats* stats = nullptr);
+
 }  // namespace mapinv
 
 #endif  // MAPINV_EVAL_QUERY_EVAL_H_

@@ -667,32 +667,11 @@ void Server::ConnectionLoop(Connection* connection) {
 
 Json Server::MetricsJson() const {
   Json server = Json::MakeObject();
-  const ServerMetrics& m = metrics_;
-  server.Set("connections_accepted",
-             Json(m.connections_accepted.load(std::memory_order_relaxed)));
-  server.Set("connections_rejected",
-             Json(m.connections_rejected.load(std::memory_order_relaxed)));
-  server.Set("frames_read",
-             Json(m.frames_read.load(std::memory_order_relaxed)));
-  server.Set("malformed_frames",
-             Json(m.malformed_frames.load(std::memory_order_relaxed)));
-  server.Set("requests", Json(m.requests.load(std::memory_order_relaxed)));
-  server.Set("requests_ok",
-             Json(m.requests_ok.load(std::memory_order_relaxed)));
-  server.Set("requests_error",
-             Json(m.requests_error.load(std::memory_order_relaxed)));
-  server.Set("requests_rejected",
-             Json(m.requests_rejected.load(std::memory_order_relaxed)));
-  server.Set("disconnect_cancels",
-             Json(m.disconnect_cancels.load(std::memory_order_relaxed)));
-  server.Set("sessions_evicted",
-             Json(m.sessions_evicted.load(std::memory_order_relaxed)));
-  server.Set("jobs_started",
-             Json(m.jobs_started.load(std::memory_order_relaxed)));
-  server.Set("jobs_finished",
-             Json(m.jobs_finished.load(std::memory_order_relaxed)));
-  server.Set("inflight",
-             Json(static_cast<int64_t>(inflight_.load())));
+#define MAPINV_SERVER_METRIC(name) \
+  server.Set(#name, Json(metrics_.name.load(std::memory_order_relaxed)));
+  MAPINV_SERVER_COUNTERS(MAPINV_SERVER_METRIC)
+#undef MAPINV_SERVER_METRIC
+  server.Set("inflight", Json(static_cast<int64_t>(inflight_.load())));
   Json json = Json::MakeObject();
   json.Set("server", std::move(server));
   json.Set("sessions", sessions_.MetricsJson());

@@ -95,20 +95,33 @@ struct ServerConfig {
   size_t max_jobs = 64;
 };
 
+/// \brief The server counter registry: one `X(name)` row per ServerMetrics
+/// counter, in the order the `metrics` verb renders them (the in-flight
+/// gauge follows them). Adding a counter is one row here plus the code that
+/// bumps it.
+#define MAPINV_SERVER_COUNTERS(X)                                            \
+  X(connections_accepted)                                                    \
+  X(connections_rejected)                                                    \
+  X(frames_read)                                                             \
+  X(malformed_frames)                                                        \
+  X(requests)                                                                \
+  X(requests_ok)                                                             \
+  X(requests_error)                                                          \
+  /* admission control */                                                    \
+  X(requests_rejected)                                                       \
+  X(disconnect_cancels)                                                      \
+  /* idle-TTL sweeps */                                                      \
+  X(sessions_evicted)                                                        \
+  /* job.start + job.resume */                                               \
+  X(jobs_started)                                                            \
+  /* background jobs completed */                                            \
+  X(jobs_finished)
+
 /// \brief Server-wide counters (beyond the per-session metrics).
 struct ServerMetrics {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_rejected{0};
-  std::atomic<uint64_t> frames_read{0};
-  std::atomic<uint64_t> malformed_frames{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> requests_ok{0};
-  std::atomic<uint64_t> requests_error{0};
-  std::atomic<uint64_t> requests_rejected{0};  // admission control
-  std::atomic<uint64_t> disconnect_cancels{0};
-  std::atomic<uint64_t> sessions_evicted{0};  // idle-TTL sweeps
-  std::atomic<uint64_t> jobs_started{0};      // job.start + job.resume
-  std::atomic<uint64_t> jobs_finished{0};     // background jobs completed
+#define MAPINV_SERVER_FIELD(name) std::atomic<uint64_t> name{0};
+  MAPINV_SERVER_COUNTERS(MAPINV_SERVER_FIELD)
+#undef MAPINV_SERVER_FIELD
 };
 
 /// \brief The daemon. Start() binds and spawns the threads; Stop() (or a

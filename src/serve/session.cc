@@ -227,35 +227,7 @@ void Session::RecordOutcome(const EngineResponse& response) {
     ++metrics_.errors;
   }
   if (response.partial) ++metrics_.partial;
-  const ExecStatsSnapshot& s = response.stats;
-  metrics_.totals.chase_steps += s.chase_steps;
-  metrics_.totals.hom_backtracks += s.hom_backtracks;
-  metrics_.totals.hom_searches += s.hom_searches;
-  metrics_.totals.hom_plans_compiled += s.hom_plans_compiled;
-  metrics_.totals.hom_bucket_candidates += s.hom_bucket_candidates;
-  metrics_.totals.hom_slot_bindings += s.hom_slot_bindings;
-  metrics_.totals.cache_hits += s.cache_hits;
-  metrics_.totals.cache_misses += s.cache_misses;
-  if (s.tuples_arena_bytes > metrics_.totals.tuples_arena_bytes) {
-    metrics_.totals.tuples_arena_bytes = s.tuples_arena_bytes;
-  }
-  metrics_.totals.index_catchup_rows += s.index_catchup_rows;
-  metrics_.totals.vector_blocks_scanned += s.vector_blocks_scanned;
-  metrics_.totals.vector_rows_scanned += s.vector_rows_scanned;
-  metrics_.totals.vector_rows_selected += s.vector_rows_selected;
-  metrics_.totals.bulk_rows_appended += s.bulk_rows_appended;
-  metrics_.totals.worlds_forked += s.worlds_forked;
-  metrics_.totals.segments_spilled += s.segments_spilled;
-  metrics_.totals.segments_faulted += s.segments_faulted;
-  if (s.arena_resident_bytes > metrics_.totals.arena_resident_bytes) {
-    metrics_.totals.arena_resident_bytes = s.arena_resident_bytes;
-  }
-  metrics_.totals.vector_plan_fallbacks += s.vector_plan_fallbacks;
-  metrics_.totals.segment_faultin_retries += s.segment_faultin_retries;
-  metrics_.totals.jobs_checkpointed += s.jobs_checkpointed;
-  metrics_.totals.worlds_resumed += s.worlds_resumed;
-  metrics_.totals.checkpoint_bytes += s.checkpoint_bytes;
-  if (s.partial) metrics_.totals.partial = true;
+  metrics_.totals.Merge(response.stats);
 }
 
 void Session::Touch() {

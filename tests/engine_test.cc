@@ -661,6 +661,19 @@ std::string TracedPipelineShape(int threads) {
   return shape;
 }
 
+// Every counter bump happens inside some span, so for every counter of the
+// registry the deltas of the top-level spans sum to the run's totals.
+void ExpectSpansSumTo(const Tracer& tracer, const ExecStatsSnapshot& total,
+                      const std::string& label) {
+  for (const ExecCounter& c : kExecCounters) {
+    uint64_t sum = 0;
+    for (const auto& child : tracer.root().children) {
+      sum += child->stats.*c.value;
+    }
+    EXPECT_EQ(sum, total.*c.value) << label << ": " << c.name;
+  }
+}
+
 }  // namespace
 
 // The span tree's shape (phase names, nesting, entry counts) is a property
@@ -670,8 +683,9 @@ TEST(TraceTest, SpanTreeShapeIsStableAcrossThreadCounts) {
   EXPECT_EQ(TracedPipelineShape(4), sequential);
 }
 
-// Every counter bump happens inside some span, so the per-phase stats deltas
-// of the top-level spans sum to the engine's ExecStats totals.
+// The per-phase stats deltas of the top-level spans sum to the engine's
+// ExecStats totals — for every counter, the high-water marks included
+// (their deltas telescope too).
 TEST(TraceTest, TopLevelSpanStatsSumToEngineTotals) {
   TgdMapping mapping =
       ParseTgdMapping("R(x,y), S(y,z) -> T(x,z)").ValueOrDie();
@@ -685,34 +699,8 @@ TEST(TraceTest, TopLevelSpanStatsSumToEngineTotals) {
   ReverseMapping recovery = engine.Invert(mapping).ValueOrDie();
   ASSERT_TRUE(engine.RoundTrip(mapping, recovery, source).ok());
 
-  ExecStatsSnapshot sum;
-  for (const auto& child : tracer.root().children) {
-    sum.chase_steps += child->stats.chase_steps;
-    sum.hom_searches += child->stats.hom_searches;
-    sum.hom_backtracks += child->stats.hom_backtracks;
-    sum.cache_hits += child->stats.cache_hits;
-    sum.cache_misses += child->stats.cache_misses;
-    sum.hom_plans_compiled += child->stats.hom_plans_compiled;
-    sum.hom_bucket_candidates += child->stats.hom_bucket_candidates;
-    sum.hom_slot_bindings += child->stats.hom_slot_bindings;
-    sum.vector_blocks_scanned += child->stats.vector_blocks_scanned;
-    sum.vector_rows_scanned += child->stats.vector_rows_scanned;
-    sum.vector_rows_selected += child->stats.vector_rows_selected;
-    sum.bulk_rows_appended += child->stats.bulk_rows_appended;
-  }
   const ExecStatsSnapshot total = engine.stats().Snapshot();
-  EXPECT_EQ(sum.chase_steps, total.chase_steps);
-  EXPECT_EQ(sum.hom_searches, total.hom_searches);
-  EXPECT_EQ(sum.hom_backtracks, total.hom_backtracks);
-  EXPECT_EQ(sum.cache_hits, total.cache_hits);
-  EXPECT_EQ(sum.cache_misses, total.cache_misses);
-  EXPECT_EQ(sum.hom_plans_compiled, total.hom_plans_compiled);
-  EXPECT_EQ(sum.hom_bucket_candidates, total.hom_bucket_candidates);
-  EXPECT_EQ(sum.hom_slot_bindings, total.hom_slot_bindings);
-  EXPECT_EQ(sum.vector_blocks_scanned, total.vector_blocks_scanned);
-  EXPECT_EQ(sum.vector_rows_scanned, total.vector_rows_scanned);
-  EXPECT_EQ(sum.vector_rows_selected, total.vector_rows_selected);
-  EXPECT_EQ(sum.bulk_rows_appended, total.bulk_rows_appended);
+  ExpectSpansSumTo(tracer, total, "engine");
   // The default chase is vectorized, so the new counters actually moved.
   EXPECT_GT(total.vector_blocks_scanned, 0u);
   EXPECT_GT(total.vector_rows_scanned, 0u);
@@ -749,6 +737,63 @@ TEST(TraceTest, ToJsonIsBalancedAndQuotesPhaseNames) {
   EXPECT_NE(json.find("\"name\":\"chase_tgds\""), std::string::npos) << json;
 }
 
+// The stats keys of the wire formats, in order, pinned as literal bytes:
+// every counter carries its 1-based wire position as its value, so a key
+// rendered out of place or with another counter's value shows up in the
+// diff. StatsToJson (responses, --stats-json, session metrics) and a trace
+// span's "stats" object must render the same bytes.
+TEST(TraceTest, StatsKeysRenderInWireOrder) {
+  const std::string golden =
+      "{\"chase_steps\":1,\"hom_searches\":2,\"hom_backtracks\":3,"
+      "\"hom_plans_compiled\":4,\"hom_bucket_candidates\":5,"
+      "\"hom_slot_bindings\":6,\"cache_hits\":7,\"cache_misses\":8,"
+      "\"tuples_arena_bytes\":9,\"index_catchup_rows\":10,"
+      "\"vector_blocks_scanned\":11,\"vector_rows_scanned\":12,"
+      "\"vector_rows_selected\":13,\"bulk_rows_appended\":14,"
+      "\"worlds_forked\":15,\"segments_spilled\":16,\"segments_faulted\":17,"
+      "\"arena_resident_bytes\":18,\"vector_plan_fallbacks\":19,"
+      "\"segment_faultin_retries\":20,\"jobs_checkpointed\":21,"
+      "\"worlds_resumed\":22,\"checkpoint_bytes\":23,\"partial\":true}";
+
+  ExecStats stats;
+  Tracer tracer;
+  tracer.Begin("phase", &stats);
+  stats.chase_steps = 1;
+  stats.hom_searches = 2;
+  stats.hom_backtracks = 3;
+  stats.hom_plans_compiled = 4;
+  stats.hom_bucket_candidates = 5;
+  stats.hom_slot_bindings = 6;
+  stats.cache_hits = 7;
+  stats.cache_misses = 8;
+  stats.tuples_arena_bytes = 9;
+  stats.index_catchup_rows = 10;
+  stats.vector_blocks_scanned = 11;
+  stats.vector_rows_scanned = 12;
+  stats.vector_rows_selected = 13;
+  stats.bulk_rows_appended = 14;
+  stats.worlds_forked = 15;
+  stats.segments_spilled = 16;
+  stats.segments_faulted = 17;
+  stats.arena_resident_bytes = 18;
+  stats.vector_plan_fallbacks = 19;
+  stats.segment_faultin_retries = 20;
+  stats.jobs_checkpointed = 21;
+  stats.worlds_resumed = 22;
+  stats.checkpoint_bytes = 23;
+  stats.partial = true;
+  tracer.End();
+
+  EXPECT_EQ(StatsToJson(stats.Snapshot()).Serialize(), golden);
+  const std::string json = tracer.ToJson();
+  const size_t span = json.find("{\"name\":\"phase\"");
+  ASSERT_NE(span, std::string::npos) << json;
+  const std::string marker = "\"stats\":";
+  const size_t at = json.find(marker, span);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(json.substr(at + marker.size(), golden.size()), golden) << json;
+}
+
 // ---------------------------------------------------------------------------
 // Request/Response API
 
@@ -756,7 +801,8 @@ TEST(TraceTest, ToJsonIsBalancedAndQuotesPhaseNames) {
 // process, answers the same result bytes the second time, although the
 // first round advanced every process-global counter in between. Fresh names
 // (polyso's ?u and sk%, compose's ?m, invert's ?p, the chase's nulls) must
-// come from the request's own SymbolContext.
+// come from the request's own SymbolContext. Tracing the second round must
+// change no byte either.
 TEST(EngineRequestTest, EveryCommandAnswersTheSameBytesTwice) {
   // The V rules make invert build a query product (fresh ?p variables).
   const std::string mapping =
@@ -793,10 +839,16 @@ TEST(EngineRequestTest, EveryCommandAnswersTheSameBytesTwice) {
         << request.command << ": " << response.status.ToString();
     first.push_back(std::move(response.result));
   }
+  // The second round runs traced: every command must count inside its
+  // spans, so the trace root's stats equal the response's totals.
+  Tracer tracer;
+  ExecutionOptions traced;
+  traced.trace = &tracer;
   for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(ExecuteRequest(requests[i], ExecutionOptions()).result,
-              first[i])
-        << "command " << requests[i].command;
+    tracer.Reset();
+    EngineResponse response = ExecuteRequest(requests[i], traced);
+    EXPECT_EQ(response.result, first[i]) << "command " << requests[i].command;
+    ExpectSpansSumTo(tracer, response.stats, requests[i].command);
   }
 }
 

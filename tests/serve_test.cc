@@ -590,6 +590,24 @@ TEST(ServerTest, ResponseBytesMatchExecuteRequest) {
   }
 }
 
+// The `metrics` verb's "server" object: the server counters in their wire
+// order, then the in-flight gauge.
+TEST(ServerTest, MetricsServerKeysRenderInWireOrder) {
+  Server server(ServerConfig{});
+  const Json metrics = server.MetricsJson();
+  const Json* counters = metrics.Find("server");
+  ASSERT_NE(counters, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : counters->AsObject()) keys.push_back(key);
+  const std::vector<std::string> expected = {
+      "connections_accepted", "connections_rejected", "frames_read",
+      "malformed_frames",     "requests",             "requests_ok",
+      "requests_error",       "requests_rejected",    "disconnect_cancels",
+      "sessions_evicted",     "jobs_started",         "jobs_finished",
+      "inflight"};
+  EXPECT_EQ(keys, expected);
+}
+
 // --- failpoint chaos --------------------------------------------------------
 
 // Four concurrent sessions run their workload under random failpoint
