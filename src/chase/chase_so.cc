@@ -11,6 +11,7 @@
 #include "base/bytes.h"
 #include "base/symbols.h"
 #include "chase/fire_plan.h"
+#include "chase/world_chase.h"
 #include "engine/failpoint.h"
 #include "engine/parallel_chase.h"
 #include "engine/trace.h"
@@ -137,7 +138,7 @@ Result<Instance> ChaseSOTgd(const SOTgdMapping& mapping, const Instance& source,
     // row builder mints them per distinct (function, arguments) pair. The
     // memo reads only source-side bindings, so building a batch's rows
     // before appending them mints the same labels as trigger-by-trigger
-    // firing, and the bulk path always applies under options.vectorized.
+    // firing, and the bulk path always applies when vector_batch > 0.
     auto build = [&](size_t i, const Value* row, const Value*,
                      std::vector<Value>* scratch) -> Status {
       scratch->clear();
@@ -633,207 +634,107 @@ Result<Instance> Materialize(const World& world,
   return out;
 }
 
+// The SO-inverse chase as a ChaseWorlds kind (chase/world_chase.h): worlds
+// are term stores, checkpointed through the MAPINVSW codec above. Nulls are
+// minted only by Materialize, in Finish, after the final commit, so the
+// restored watermark makes a resumed run's output byte-identical to an
+// uninterrupted one.
+class SOInverseWorlds {
+ public:
+  using Mapping = SOInverseMapping;
+  using World = mapinv::World;
+  static constexpr const char* kPhase = "chase_so_inverse";
+  static constexpr JobKind kJobKind = JobKind::kSOInverseWorlds;
+  static constexpr FailPoint& kEntry = fp_so_inv_entry;
+  static constexpr FailPoint& kFire = fp_so_inv_fire;
+
+  SOInverseWorlds(const SOInverseMapping& mapping,
+                  const ExecutionOptions& options)
+      : mapping_(mapping), options_(options) {}
+
+  size_t NumDeps() const { return mapping_.inverse.rules.size(); }
+
+  World Seed() const { return World(); }
+
+  Status Compile(size_t rule_index, const World&) {
+    rule_ = &mapping_.inverse.rules[rule_index];
+    premise_ = {rule_->premise};
+    constraints_ = HomConstraints{};
+    constraints_.constant_vars.insert(rule_->constant_vars.begin(),
+                                      rule_->constant_vars.end());
+    return Status::OK();
+  }
+
+  const std::vector<Atom>& Premise() const { return premise_; }
+  const HomConstraints& Constraints() const { return constraints_; }
+
+  // Every world tries every disjunct; the consistent applications survive.
+  // Symbolic worlds hold no facts of the target, so nothing is counted
+  // against max_new_facts.
+  Status Expand(const TriggerBatch& triggers, const Value* row,
+                std::vector<World>* worlds, size_t* /*created*/,
+                SymbolContext&) {
+    std::vector<World> next;
+    for (World& world : *worlds) {
+      for (size_t di = 0; di < rule_->disjuncts.size(); ++di) {
+        const SOInvDisjunct& d = rule_->disjuncts[di];
+        // The last disjunct consumes the world; earlier ones fork a copy of
+        // the symbolic store (counted as a world fork).
+        const bool last = di + 1 == rule_->disjuncts.size();
+        if (!last) {
+          MAPINV_FAILPOINT(fp_so_inv_fork);
+          if (options_.stats != nullptr) {
+            options_.stats->worlds_forked.fetch_add(1,
+                                                    std::memory_order_relaxed);
+          }
+        }
+        MAPINV_ASSIGN_OR_RETURN(
+            std::optional<World> applied,
+            ApplyDisjunct(d, triggers.vars, row,
+                          last ? std::move(world) : World(world)));
+        if (applied.has_value()) next.push_back(std::move(*applied));
+      }
+    }
+    *worlds = std::move(next);
+    return Status::OK();
+  }
+
+  std::string Save(const World& world) const { return WorldToBytes(world); }
+
+  Result<World> Load(const std::string& image) {
+    if (!fn_by_name_.has_value()) fn_by_name_ = MappingFunctionNames(mapping_);
+    return WorldFromBytes(image, *fn_by_name_);
+  }
+
+  Result<std::vector<Instance>> Finish(std::vector<World> worlds,
+                                       SymbolContext& symbols) const {
+    std::vector<Instance> out;
+    out.reserve(worlds.size());
+    for (const World& w : worlds) {
+      MAPINV_ASSIGN_OR_RETURN(Instance inst,
+                              Materialize(w, mapping_.target, symbols));
+      out.push_back(std::move(inst));
+    }
+    return out;
+  }
+
+ private:
+  const SOInverseMapping& mapping_;
+  const ExecutionOptions& options_;
+  // The compiled rule.
+  const SOInverseRule* rule_ = nullptr;
+  std::vector<Atom> premise_;
+  HomConstraints constraints_;
+  // Resolves persisted function spellings; built at the first Load.
+  std::optional<std::unordered_map<std::string, FunctionId>> fn_by_name_;
+};
+
 }  // namespace
 
 Result<std::vector<Instance>> ChaseSOInverseWorlds(
     const SOInverseMapping& mapping, const Instance& input,
     const ExecutionOptions& options) {
-  ScopedTraceSpan span(options, "chase_so_inverse");
-  MAPINV_FAILPOINT(fp_so_inv_entry);
-  ExecDeadline entry_deadline(options.deadline_ms);
-  const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
-  SymbolContext& symbols = ResolveSymbols(options, input);
-  HomSearch search(input);
-  search.set_stats(options.stats);
-  std::vector<World> worlds(1);
-  // Checkpointed-job state (see src/job/job.h and ChaseReverseWorlds, whose
-  // protocol this mirrors). Symbolic worlds persist through the MAPINVSW
-  // codec above; nulls are only minted by Materialize, after the final
-  // commit, so the restored watermark makes materialized output of a resumed
-  // run byte-identical to an uninterrupted one.
-  std::optional<JobCheckpointer> job;
-  size_t resume_rule = 0;
-  uint64_t resume_trigger = 0;
-  bool restored_complete = false;
-  if (!options.checkpoint_dir.empty()) {
-    const uint64_t fingerprint =
-        JobFingerprint(JobKind::kSOInverseWorlds, mapping.ToString(),
-                       input.ToString(), options.oblivious);
-    MAPINV_ASSIGN_OR_RETURN(
-        JobCheckpointer opened,
-        JobCheckpointer::Open(options.checkpoint_dir,
-                              JobKind::kSOInverseWorlds, fingerprint,
-                              options.resume));
-    job.emplace(std::move(opened));
-    if (job->resumed().has_value()) {
-      const JobResumeState& state = *job->resumed();
-      const std::unordered_map<std::string, FunctionId> fn_by_name =
-          MappingFunctionNames(mapping);
-      worlds.clear();
-      for (const std::string& image : state.world_images) {
-        MAPINV_ASSIGN_OR_RETURN(World world,
-                                WorldFromBytes(image, fn_by_name));
-        worlds.push_back(std::move(world));
-      }
-      resume_rule = state.manifest.dep_index;
-      resume_trigger = state.manifest.trigger_index;
-      restored_complete = state.manifest.complete;
-      if (state.manifest.null_watermark > 0) {
-        symbols.BumpNullPast(
-            static_cast<uint32_t>(state.manifest.null_watermark - 1));
-      }
-      if (options.stats != nullptr) {
-        options.stats->worlds_resumed.fetch_add(state.world_images.size(),
-                                                std::memory_order_relaxed);
-      }
-      // An empty frontier is only ever committed complete (the inconsistent
-      // outcome); honour it rather than chase from nothing.
-      if (worlds.empty()) return std::vector<Instance>{};
-    }
-  }
-  const size_t checkpoint_every = options.checkpoint_every == 0
-                                      ? kDefaultCheckpointEvery
-                                      : options.checkpoint_every;
-  size_t since_commit = 0;
-  auto commit_checkpoint = [&](size_t rule_index, uint64_t trigger_index,
-                               bool complete) -> Status {
-    if (!job.has_value()) return Status::OK();
-    std::vector<std::string> images;
-    images.reserve(worlds.size());
-    for (const World& world : worlds) images.push_back(WorldToBytes(world));
-    JobManifest manifest;
-    manifest.complete = complete;
-    manifest.dep_index = static_cast<uint32_t>(rule_index);
-    manifest.trigger_index = trigger_index;
-    manifest.null_watermark = symbols.NullWatermark();
-    since_commit = 0;
-    return job->Commit(std::move(manifest), images, options.stats);
-  };
-  // kPartial degrades at whole-trigger granularity: every world finishes the
-  // current trigger before the run stops (see ChaseReverseWorlds).
-  bool cut_short = false;
-  for (size_t rule_index =
-           restored_complete ? mapping.inverse.rules.size() : resume_rule;
-       rule_index < mapping.inverse.rules.size(); ++rule_index) {
-    const SOInverseRule& rule = mapping.inverse.rules[rule_index];
-    HomConstraints constraints;
-    constraints.constant_vars.insert(rule.constant_vars.begin(),
-                                     rule.constant_vars.end());
-    TriggerBatch triggers;
-    {
-      ScopedTraceSpan collect_span(options, "collect_triggers");
-      Result<TriggerBatch> collected = CollectTriggers(
-          search, input, {rule.premise}, constraints, options, deadline);
-      if (!collected.ok()) {
-        if (DegradeToPartial(options, collected.status())) break;
-        return collected.status();
-      }
-      triggers = std::move(collected).ValueOrDie();
-    }
-    ScopedTraceSpan fire_span(options, "fire");
-    // Trigger collection is deterministic for a fixed input, so the cursor
-    // index is meaningful across processes (see ChaseReverseWorlds).
-    const size_t first_trigger =
-        rule_index == resume_rule ? static_cast<size_t>(resume_trigger) : 0;
-    for (size_t t = first_trigger; t < triggers.rows; ++t) {
-      if (Status poll =
-              PollPhaseInterrupt(options, deadline, "chase_so_inverse");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
-        }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_so_inv_fire);
-      const Value* row = triggers.Row(t);
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::vector<World> next;
-      for (World& world : worlds) {
-        for (size_t di = 0; di < rule.disjuncts.size(); ++di) {
-          const SOInvDisjunct& d = rule.disjuncts[di];
-          // The last disjunct consumes the world; earlier ones fork a copy
-          // of the symbolic store (counted as a world fork).
-          const bool last = di + 1 == rule.disjuncts.size();
-          if (!last) {
-            MAPINV_FAILPOINT(fp_so_inv_fork);
-            if (options.stats != nullptr) {
-              options.stats->worlds_forked.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-          }
-          MAPINV_ASSIGN_OR_RETURN(
-              std::optional<World> applied,
-              ApplyDisjunct(d, triggers.vars, row,
-                            last ? std::move(world) : World(world)));
-          if (applied.has_value()) next.push_back(std::move(*applied));
-        }
-      }
-      worlds = std::move(next);
-      if (worlds.empty()) {  // inconsistent in every disjunct
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(rule_index, t + 1, true));
-        return std::vector<Instance>{};
-      }
-      // Checked after the whole trigger (see ChaseReverseWorlds): a partial
-      // stop never leaves a world with a half-applied trigger.
-      if (worlds.size() > options.max_worlds) {
-        Status exhausted =
-            PhaseExhausted("chase_so_inverse",
-                           "exceeded max_worlds = " +
-                               std::to_string(options.max_worlds));
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
-        }
-        return exhausted;
-      }
-      // The frontier is consistent exactly at trigger boundaries; commit
-      // here, with the cursor on the next unprocessed trigger.
-      if (job.has_value() && ++since_commit >= checkpoint_every) {
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(rule_index, t + 1, false));
-      }
-    }
-    if (cut_short) break;
-  }
-  // Final commit marks the job complete — deliberately *before* Materialize
-  // mints nulls, so a resume of a finished job re-materializes from the same
-  // watermark and reproduces the output byte for byte.
-  if (!restored_complete) {
-    MAPINV_RETURN_NOT_OK(
-        commit_checkpoint(mapping.inverse.rules.size(), 0, true));
-  }
-  std::vector<Instance> out;
-  out.reserve(worlds.size());
-  for (const World& w : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(Instance inst,
-                            Materialize(w, mapping.target, symbols));
-    out.push_back(std::move(inst));
-  }
-  if (options.stats != nullptr) {
-    uint64_t bytes = 0;
-    uint64_t resident = 0;
-    for (const Instance& inst : out) {
-      bytes += inst.ArenaBytes();
-      resident += inst.ResidentBytes();
-    }
-    options.stats->ObserveArenaBytes(bytes);
-    options.stats->ObserveResidentBytes(resident);
-  }
-  return out;
-}
-
-Result<AnswerSet> CertainAnswersSOInverse(const SOInverseMapping& mapping,
-                                          const Instance& input,
-                                          const ConjunctiveQuery& query,
-                                          const ExecutionOptions& options) {
-  MAPINV_ASSIGN_OR_RETURN(std::vector<Instance> worlds,
-                          ChaseSOInverseWorlds(mapping, input, options));
-  if (worlds.empty()) {
-    return Status::Malformed("SO-inverse chase: no consistent world");
-  }
-  return CertainOverWorlds(worlds, query);
+  return ChaseWorlds<SOInverseWorlds>(mapping, input, options);
 }
 
 }  // namespace mapinv

@@ -26,7 +26,6 @@
 #include "base/status.h"
 #include "engine/execution_options.h"
 #include "data/instance.h"
-#include "eval/query_eval.h"
 #include "logic/mapping.h"
 
 namespace mapinv {
@@ -42,13 +41,6 @@ Result<Instance> ChaseSOTgd(const SOTgdMapping& mapping, const Instance& source,
 Result<std::vector<Instance>> ChaseSOInverseWorlds(
     const SOInverseMapping& mapping, const Instance& input,
     const ExecutionOptions& options = {});
-
-/// \brief Certain answers of `query` over the recovered worlds (∩ of
-/// null-free per-world answers). Fails if no world is consistent.
-Result<AnswerSet> CertainAnswersSOInverse(const SOInverseMapping& mapping,
-                                          const Instance& input,
-                                          const ConjunctiveQuery& query,
-                                          const ExecutionOptions& options = {});
 
 }  // namespace mapinv
 

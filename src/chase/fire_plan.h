@@ -11,8 +11,9 @@
 /// per-trigger path with its satisfaction probe, the chase_steps and
 /// bulk_rows_appended counters, interrupt polls, the fire failpoint, the
 /// max_new_facts budget and kPartial degradation at whole-trigger
-/// granularity. The reverse chase (chase_reverse.cc) forks worlds per
-/// trigger and keeps its own loop over the same compiled atoms.
+/// granularity. The world enumerations fork worlds per trigger and run
+/// through their own driver, ChaseWorlds (chase/world_chase.h); the reverse
+/// chase fires the same compiled atoms there.
 ///
 /// A conclusion compiles once per dependency (CompileFireAtomsCols):
 /// relations resolve to RelationIds up front, and every term is classified
@@ -249,9 +250,9 @@ struct FireRun {
 /// fires and counts as a chase step. Otherwise `satisfied` runs per
 /// trigger, and only the triggers that fire count.
 ///
-/// Under options.vectorized the rows of vector_batch triggers are built
-/// first and appended with one AddRows pass per relation, when the probe is
-/// not needed: with `unconditional`, or with `num_fresh` 0, since a
+/// With options.vector_batch > 0 the rows of vector_batch triggers are
+/// built first and appended with one AddRows pass per relation, when the
+/// probe is not needed: with `unconditional`, or with `num_fresh` 0, since a
 /// conclusion without existentials is satisfied exactly when firing it adds
 /// no row, which AddRows' dedup decides. Output, chase_steps and null
 /// labels equal the per-trigger path's.
@@ -305,7 +306,7 @@ Result<bool> FireTriggers(FireRun* run, const TriggerBatch& triggers,
   };
 
   const size_t batch = options.vector_batch;
-  if (options.vectorized && batch > 0 && (unconditional || num_fresh == 0)) {
+  if (batch > 0 && (unconditional || num_fresh == 0)) {
     BulkFireScratch bulk = MakeBulkFireScratch(relations, target->schema());
     for (size_t base = 0; base < triggers.rows; base += batch) {
       const size_t count = std::min(batch, triggers.rows - base);

@@ -103,9 +103,10 @@ class Engine {
                                      const ConjunctiveQuery& query);
 
   /// The unified Request/Response entry point (engine/request.h): dispatches
-  /// one EngineRequest with this Engine's pool/limits/cancel configuration
-  /// and returns the EngineResponse. Both mapinv_cli and mapinv_serve go
-  /// through this, so the same request renders byte-identical response JSON
+  /// one EngineRequest through ExecuteRequest with this Engine's
+  /// pool/limits/cancel configuration and returns the EngineResponse.
+  /// mapinv_cli and mapinv_serve call ExecuteRequest directly with their own
+  /// base options, so the same request renders byte-identical response JSON
   /// on either transport. The request runs with a fresh SymbolContext and a
   /// fresh stats sink (accumulated into stats() afterwards), so responses
   /// never depend on prior traffic.

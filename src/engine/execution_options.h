@@ -398,19 +398,18 @@ struct ExecutionOptions : ResourceLimits {
   /// Degree of parallelism for trigger enumeration in ChaseTgds/ChaseSOTgd.
   /// 1 means sequential. Output is bit-identical for every thread count.
   int threads = 1;
-  /// Batch-at-a-time execution: trigger enumeration runs the compiled plan's
-  /// check/bind micro-ops over selection vectors of arena blocks, and the
-  /// fire loops append whole batches through Instance::AddRows (see
-  /// eval/vector_plan.h and docs/ENGINE.md). Output is bit-identical to the
-  /// scalar path for every batch size and thread count; the scalar path
-  /// (false) is retained as the differential oracle. Stats counters may
-  /// differ between the two paths (each path counts into its own counters).
-  bool vectorized = true;
-  /// Rows per scan/expansion block of the vectorized executor and triggers
-  /// per bulk-fire batch. Values below 1 are treated as 1.
+  /// Batch-at-a-time execution: rows per scan/expansion block of the
+  /// vectorized executor and triggers per bulk-fire batch. Trigger
+  /// enumeration runs the compiled plan's check/bind micro-ops over
+  /// selection vectors of arena blocks, and the fire loop appends whole
+  /// batches through Instance::AddRows (see eval/vector_plan.h and
+  /// docs/ENGINE.md). 0 selects the scalar tuple-at-a-time path, retained as
+  /// the differential oracle. Output is bit-identical for every batch size
+  /// and thread count; stats counters may differ between the two paths
+  /// (each path counts into its own counters).
   size_t vector_batch = 1024;
   /// Compiled plans longer than this many steps run on the scalar
-  /// interpreter even when `vectorized` is set (the vectorized executor's
+  /// interpreter even when `vector_batch` is set (the vectorized executor's
   /// per-step level state is sized for typical rule bodies; see
   /// eval/vector_plan.h). Each such routing bumps
   /// ExecStats::vector_plan_fallbacks. 0 forces the scalar path for every

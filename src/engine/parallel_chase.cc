@@ -100,17 +100,16 @@ Result<std::vector<uint16_t>> ColumnSlots(const HomPlan& plan,
 // scheduling and of the chunk count itself — threads == 1 executes the same
 // chunks inline.
 //
-// `seed` non-null selects the vectorized path: each chunk block-scans its
-// row range through the compiled seed checks and expands survivors through
-// the selection-vector plan executor (`col_slots` maps trigger columns to
-// plan slots). Null runs the scalar tuple-at-a-time oracle. Both paths fill
-// `out` bit-identically.
+// With options.vector_batch > 0 each chunk block-scans its row range
+// through the compiled seed checks and expands survivors through the
+// selection-vector plan executor; a plan longer than
+// options.vector_max_plan_steps falls back to the scalar path and bumps
+// vector_plan_fallbacks. vector_batch 0 runs the scalar tuple-at-a-time
+// oracle. Both paths fill `out` bit-identically.
 Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
                       const Atom& pinned, RelationId rel, size_t begin_row,
                       size_t end_row, const HomPlan& remaining_plan,
                       const HomConstraints& constraints,
-                      const SeedProgram* seed,
-                      const std::vector<uint16_t>& col_slots,
                       const ExecutionOptions& options,
                       const ExecDeadline& deadline,
                       const std::function<bool(const Value*)>& accept,
@@ -118,6 +117,21 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
   const size_t n = end_row - begin_row;
   if (n == 0) return Status::OK();
   const size_t stride = out->vars.size();
+
+  const bool vectorized =
+      options.vector_batch > 0 &&
+      remaining_plan.steps.size() <= options.vector_max_plan_steps;
+  if (!vectorized && options.vector_batch > 0 && options.stats != nullptr) {
+    options.stats->vector_plan_fallbacks.fetch_add(1,
+                                                   std::memory_order_relaxed);
+  }
+  SeedProgram seed;
+  std::vector<uint16_t> col_slots;  // trigger column -> plan slot
+  if (vectorized) {
+    MAPINV_ASSIGN_OR_RETURN(seed,
+                            CompileSeedProgram(instance, pinned, remaining_plan));
+    MAPINV_ASSIGN_OR_RETURN(col_slots, ColumnSlots(remaining_plan, out->vars));
+  }
 
   int threads = options.threads < 1 ? 1 : options.threads;
   ThreadPool* pool = nullptr;
@@ -144,13 +158,13 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
     }
     std::vector<Value>& slot = slots[c];
     size_t rows = 0;
-    if (seed != nullptr) {
+    if (vectorized) {
       // Vectorized chunk: the seeded executor polls cancel/deadline once per
       // block and books its work into the vector_* counters.
       VectorRunStats vstats;
       std::vector<Value> rowbuf(stride);
       Status status = RunSeededPlanVectorized(
-          instance, *seed, begin, end, remaining_plan, options.vector_batch,
+          instance, seed, begin, end, remaining_plan, options.vector_batch,
           [&](const Value* slot_row) {
             if (abort.load(std::memory_order_relaxed)) return false;
             for (size_t j = 0; j < stride; ++j) {
@@ -312,25 +326,9 @@ Result<TriggerBatch> CollectTriggers(
       std::shared_ptr<const HomPlan> remaining_plan,
       search.GetPlanForVars(remaining, constraints, PinnedVars(first)));
 
-  const bool vectorized =
-      options.vectorized && options.vector_batch > 0 &&
-      remaining_plan->steps.size() <= options.vector_max_plan_steps;
-  if (!vectorized && options.vectorized && options.vector_batch > 0 &&
-      options.stats != nullptr) {
-    options.stats->vector_plan_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-  SeedProgram seed;
-  std::vector<uint16_t> col_slots;
-  if (vectorized) {
-    MAPINV_ASSIGN_OR_RETURN(seed,
-                            CompileSeedProgram(instance, first, *remaining_plan));
-    MAPINV_ASSIGN_OR_RETURN(col_slots, ColumnSlots(*remaining_plan, batch.vars));
-  }
-  MAPINV_RETURN_NOT_OK(ScanPinnedAtom(
-      search, instance, first, rel, 0, n, *remaining_plan, constraints,
-      vectorized ? &seed : nullptr, col_slots, options, deadline, nullptr,
-      &batch));
+  MAPINV_RETURN_NOT_OK(ScanPinnedAtom(search, instance, first, rel, 0, n,
+                                      *remaining_plan, constraints, options,
+                                      deadline, nullptr, &batch));
   return batch;
 }
 
@@ -389,23 +387,6 @@ Result<TriggerBatch> CollectTriggersDelta(
         std::shared_ptr<const HomPlan> remaining_plan,
         search.GetPlanForVars(remaining, constraints, PinnedVars(pinned)));
 
-    const bool vectorized =
-        options.vectorized && options.vector_batch > 0 &&
-        remaining_plan->steps.size() <= options.vector_max_plan_steps;
-    if (!vectorized && options.vectorized && options.vector_batch > 0 &&
-        options.stats != nullptr) {
-      options.stats->vector_plan_fallbacks.fetch_add(1,
-                                                     std::memory_order_relaxed);
-    }
-    SeedProgram seed;
-    std::vector<uint16_t> col_slots;
-    if (vectorized) {
-      MAPINV_ASSIGN_OR_RETURN(
-          seed, CompileSeedProgram(instance, pinned, *remaining_plan));
-      MAPINV_ASSIGN_OR_RETURN(col_slots,
-                              ColumnSlots(*remaining_plan, batch.vars));
-    }
-
     // Exact-partition filter: keep a candidate only when every *earlier*
     // premise atom's image row predates the watermark, so each delta trigger
     // is counted exactly once — at its first new-row position. (Later atoms
@@ -436,10 +417,9 @@ Result<TriggerBatch> CollectTriggersDelta(
       }
       return true;
     };
-    MAPINV_RETURN_NOT_OK(ScanPinnedAtom(
-        search, instance, pinned, rel, mark, n, *remaining_plan, constraints,
-        vectorized ? &seed : nullptr, col_slots, options, deadline, accept,
-        &batch));
+    MAPINV_RETURN_NOT_OK(ScanPinnedAtom(search, instance, pinned, rel, mark,
+                                        n, *remaining_plan, constraints,
+                                        options, deadline, accept, &batch));
   }
   return batch;
 }

@@ -24,12 +24,13 @@
 /// inline — which is what makes multi-thread output bit-identical to
 /// single-thread, and both identical to the historical sequential chase.
 ///
-/// Under `options.vectorized` (the default) each chunk runs batch-at-a-time:
-/// the pinned atom's seed checks and the remaining-premise plan execute
-/// through the selection-vector executor of eval/vector_plan.h, and triggers
-/// land directly in the TriggerBatch value matrix — no per-trigger hash
-/// maps. `options.vectorized = false` retains the tuple-at-a-time scan as a
-/// differential oracle; both paths produce bit-identical batches.
+/// With `options.vector_batch` > 0 (the default) each chunk runs
+/// batch-at-a-time: the pinned atom's seed checks and the remaining-premise
+/// plan execute through the selection-vector executor of
+/// eval/vector_plan.h, and triggers land directly in the TriggerBatch value
+/// matrix — no per-trigger hash maps. `options.vector_batch = 0` retains the
+/// tuple-at-a-time scan as a differential oracle; both paths produce
+/// bit-identical batches.
 ///
 /// Callers must not grow the instance while a collection is in flight;
 /// CollectTriggers prewarms the search indexes and compiles the shared
@@ -89,11 +90,12 @@ struct TriggerBatch {
 /// sequential backtracking search reports them.
 ///
 /// `options.threads` > 1 fans the enumeration out on `options.pool` (or the
-/// process-shared pool). `options.vectorized` selects the batch-at-a-time
-/// scan (`options.vector_batch` rows per block); the scalar path yields the
-/// same batch bit-for-bit. Fails with kResourceExhausted once `deadline`
-/// expires, and propagates validation errors (unknown relation, arity
-/// mismatch, function terms) exactly like ForEachHom.
+/// process-shared pool). `options.vector_batch` > 0 selects the
+/// batch-at-a-time scan with that many rows per block, and 0 the scalar
+/// path, which yields the same batch bit-for-bit. Fails with
+/// kResourceExhausted once `deadline` expires, and propagates validation
+/// errors (unknown relation, arity mismatch, function terms) exactly like
+/// ForEachHom.
 Result<TriggerBatch> CollectTriggers(const HomSearch& search,
                                      const Instance& instance,
                                      const std::vector<Atom>& premise,

@@ -109,8 +109,8 @@ class HomSearch {
 
   /// Scalar tuple-at-a-time plan execution, bypassing the vectorized
   /// executor regardless of set_vector_batch — the differential oracle for
-  /// the vectorized path, and the engine's ExecutionOptions::vectorized =
-  /// false route. Same contract and enumeration order as ForEachHomWithPlan.
+  /// the vectorized path, and the engine's ExecutionOptions::vector_batch =
+  /// 0 route. Same contract and enumeration order as ForEachHomWithPlan.
   Status ForEachHomWithPlanScalar(
       const HomPlan& plan, const Assignment& fixed,
       const std::function<bool(const Assignment&)>& callback) const;

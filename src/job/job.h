@@ -76,7 +76,9 @@ struct JobManifest {
   /// Commit sequence number; file names embed it (manifest-<G>, w<G>-<i>).
   uint64_t generation = 0;
   /// True once the enumeration has finished: the world files are the final
-  /// answer and the cursor fields are the end-of-run values.
+  /// answer. The cursor is then the end (dependency count, trigger 0),
+  /// unless kPartial cut the run short: then it names the first trigger the
+  /// run did not process, and a resume reports the answer partial.
   bool complete = false;
   /// Index of the dependency (rule) the enumeration was processing.
   uint32_t dep_index = 0;

@@ -298,8 +298,7 @@ TEST(ParallelChaseTest, CollectTriggersPreservesForEachHomOrder) {
     for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
       ExecutionOptions options;
       options.threads = threads;
-      options.vectorized = batch != 0;
-      if (batch != 0) options.vector_batch = batch;
+      options.vector_batch = batch;
       ExecDeadline deadline(0);
       TriggerBatch collected =
           CollectTriggers(search, source, premise, constraints, options,

@@ -204,7 +204,7 @@ Result<std::string> RunSweepWorkload(const TgdMapping& mapping,
   options.threads = 1;
   options.symbols = &symbols;
   options.stats = &stats;
-  options.vectorized = vectorized;
+  if (!vectorized) options.vector_batch = 0;
   std::string out;
   MAPINV_ASSIGN_OR_RETURN(Instance chased, ChaseTgds(mapping, source, options));
   out += chased.ToString() + "\n";
@@ -378,21 +378,15 @@ TEST(CancelTest, PreCancelledTokenStopsTheChase) {
   Instance source = GenerateInstance(*mapping.source, 20, 10, 5);
   // Every execution shape polls the token: the scalar path per candidate,
   // the vectorized paths per block (collection) and per batch (fire).
-  struct Shape {
-    bool vectorized;
-    size_t batch;
-  };
-  for (const Shape& shape : {Shape{false, 0}, Shape{true, 1}, Shape{true, 7},
-                             Shape{true, 1024}}) {
+  for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
     CancelToken token;
     token.Cancel();
     ExecutionOptions options;
     options.threads = 1;
     options.cancel = &token;
-    options.vectorized = shape.vectorized;
-    if (shape.batch != 0) options.vector_batch = shape.batch;
+    options.vector_batch = batch;
     Result<Instance> result = ChaseTgds(mapping, source, options);
-    ASSERT_FALSE(result.ok()) << "batch=" << shape.batch;
+    ASSERT_FALSE(result.ok()) << "batch=" << batch;
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
     token.Reset();
     EXPECT_TRUE(ChaseTgds(mapping, source, options).ok());

@@ -125,8 +125,11 @@ ExecutionOptions ShapeOptions(SymbolContext* symbols, ExecStats* stats,
   ExecutionOptions options;
   options.symbols = symbols;
   options.stats = stats;
-  options.vectorized = vectorized;
-  if (batch != 0) options.vector_batch = batch;
+  if (!vectorized) {
+    options.vector_batch = 0;
+  } else if (batch != 0) {
+    options.vector_batch = batch;
+  }
   options.max_new_facts = max_new_facts;
   options.on_exhausted = OnExhausted::kPartial;
   return options;
@@ -272,8 +275,11 @@ TEST(VectorPlanDifferentialTest, ReverseWorldsMatchScalar) {
     SymbolContext symbols;
     ExecutionOptions options;
     options.symbols = &symbols;
-    options.vectorized = vectorized;
-    if (batch != 0) options.vector_batch = batch;
+    if (!vectorized) {
+      options.vector_batch = 0;
+    } else if (batch != 0) {
+      options.vector_batch = batch;
+    }
     options.threads = threads;
     std::vector<Instance> worlds =
         ChaseReverseWorlds(reverse, target, options).ValueOrDie();
@@ -392,7 +398,7 @@ TEST(VectorPlanTest, VectorCountersFlowAndScalarCountersStayQuiet) {
 
   ExecStats scalar_stats;
   options.stats = &scalar_stats;
-  options.vectorized = false;
+  options.vector_batch = 0;
   ASSERT_TRUE(ChaseTgds(mapping, source, options).ok());
   EXPECT_EQ(scalar_stats.vector_blocks_scanned.load(), 0u);
   EXPECT_EQ(scalar_stats.bulk_rows_appended.load(), 0u);
