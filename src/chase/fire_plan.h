@@ -13,7 +13,10 @@
 /// max_new_facts budget and kPartial degradation at whole-trigger
 /// granularity. The world enumerations fork worlds per trigger and run
 /// through their own driver, ChaseWorlds (chase/world_chase.h); the reverse
-/// chase fires the same compiled atoms there.
+/// chase fires the same compiled atoms there, and applies the bulk path's
+/// rule per world: a disjunct without existentials holds in a world exactly
+/// when the world already contains its rows, so it builds them once per
+/// trigger and checks each world by row lookup instead of a hom search.
 ///
 /// A conclusion compiles once per dependency (CompileFireAtomsCols):
 /// relations resolve to RelationIds up front, and every term is classified

@@ -1,5 +1,7 @@
 #include "chase/round_trip.h"
 
+#include <utility>
+
 #include "engine/failpoint.h"
 #include "engine/trace.h"
 
@@ -13,7 +15,8 @@ FailPoint fp_round_trip_so_entry("round_trip_so/entry");
 Result<std::vector<Instance>> RoundTripWorlds(const TgdMapping& mapping,
                                               const ReverseMapping& reverse,
                                               const Instance& source,
-                                              const ExecutionOptions& options) {
+                                              const ExecutionOptions& options,
+                                              Instance* canonical) {
   // One budget for both chases: resolve the deadline here and carry it into
   // the stages, instead of letting each restart the full deadline_ms.
   // In kPartial mode a stage cut short degrades inside the stage itself; a
@@ -24,9 +27,11 @@ Result<std::vector<Instance>> RoundTripWorlds(const TgdMapping& mapping,
   ExecDeadline entry_deadline(options.deadline_ms);
   ExecutionOptions inner = options;
   inner.deadline = &CarriedDeadline(options, entry_deadline);
-  MAPINV_ASSIGN_OR_RETURN(Instance canonical,
-                          ChaseTgds(mapping, source, inner));
-  return ChaseReverseWorlds(reverse, canonical, inner);
+  MAPINV_ASSIGN_OR_RETURN(Instance target, ChaseTgds(mapping, source, inner));
+  MAPINV_ASSIGN_OR_RETURN(std::vector<Instance> worlds,
+                          ChaseReverseWorlds(reverse, target, inner));
+  if (canonical != nullptr) *canonical = std::move(target);
+  return worlds;
 }
 
 Result<AnswerSet> RoundTripCertain(const TgdMapping& mapping,

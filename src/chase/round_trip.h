@@ -39,11 +39,14 @@
 namespace mapinv {
 
 /// \brief Recovered source worlds of chase-back(chase-forward(source)) for a
-/// tgd mapping and a reverse mapping.
+/// tgd mapping and a reverse mapping. When `canonical` is non-null it
+/// receives the forward chase's target, the instance the worlds were chased
+/// back from, so a caller that shows the target chases forward only once.
 Result<std::vector<Instance>> RoundTripWorlds(const TgdMapping& mapping,
                                               const ReverseMapping& reverse,
                                               const Instance& source,
-                                              const ExecutionOptions& options = {});
+                                              const ExecutionOptions& options = {},
+                                              Instance* canonical = nullptr);
 
 /// \brief Certain answers of a source query over the round-trip worlds,
 /// i.e. certain_{M∘M'}(Q, I) computed canonically.

@@ -272,16 +272,18 @@ Result<ExecOutcome> Dispatch(const EngineRequest& request,
         std::make_shared<const Instance>(maintained->TargetSnapshot());
     return outcome;
   }
-  if (command == "exchange" || command == "roundtrip") {
+  if (command == "exchange") {
     MAPINV_ASSIGN_OR_RETURN(std::shared_ptr<const Instance> source,
                             ResolveInstance(request, *mapping->source));
     MAPINV_ASSIGN_OR_RETURN(Instance target,
                             ChaseTgds(*mapping, *source, options));
-    if (command == "exchange") {
-      ExecOutcome outcome{ResultKind::kInstance, target.ToString() + "\n"};
-      outcome.instance = std::make_shared<const Instance>(std::move(target));
-      return outcome;
-    }
+    ExecOutcome outcome{ResultKind::kInstance, target.ToString() + "\n"};
+    outcome.instance = std::make_shared<const Instance>(std::move(target));
+    return outcome;
+  }
+  if (command == "roundtrip") {
+    MAPINV_ASSIGN_OR_RETURN(std::shared_ptr<const Instance> source,
+                            ResolveInstance(request, *mapping->source));
     std::shared_ptr<const ReverseMapping> reverse = request.bound_reverse;
     if (reverse == nullptr && !request.reverse.empty()) {
       // An explicit reverse mapping (e.g. maxrec output, disjunctions and
@@ -297,9 +299,12 @@ Result<ExecOutcome> Dispatch(const EngineRequest& request,
       reverse =
           std::make_shared<const ReverseMapping>(std::move(recovery));
     }
+    // The round trip chases forward once and hands out its target, so the
+    // worlds are chased back from the target this response prints.
+    Instance target(mapping->target);
     MAPINV_ASSIGN_OR_RETURN(
         std::vector<Instance> worlds,
-        RoundTripWorlds(*mapping, *reverse, *source, options));
+        RoundTripWorlds(*mapping, *reverse, *source, options, &target));
     std::string out = "target:    " + target.ToString() + "\n";
     for (const Instance& world : worlds) {
       out += "recovered: " + world.ToString() + "\n";

@@ -1,8 +1,12 @@
 // Unit tests for the chase engines: tgd chase, reverse (disjunctive) chase,
 // SO-tgd chase, SO-inverse chase, round trips.
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "base/symbol_context.h"
 #include "chase/chase_reverse.h"
 #include "chase/chase_so.h"
 #include "chase/chase_tgd.h"
@@ -10,6 +14,11 @@
 #include "engine/execution_options.h"
 #include "engine/failpoint.h"
 #include "eval/hom.h"
+#include "hom_oracles.h"
+#include "inversion/cq_maximum_recovery.h"
+#include "inversion/maximum_recovery.h"
+#include "mapgen/generators.h"
+#include "parser/parser.h"
 
 namespace mapinv {
 namespace {
@@ -317,6 +326,198 @@ TEST(ChaseReverseTest, WorldLimitEnforced) {
   tight.max_worlds = 16;
   EXPECT_EQ(ChaseReverseWorlds(rm, target, tight).status().code(),
             StatusCode::kResourceExhausted);
+}
+
+// The canonical target of an E1 mapping over `b` B facts and the producer
+// fact A0_0 sharing the first of them: the shape of reqbench's worlds
+// requests.
+Instance ExpTarget(const TgdMapping& mapping, int b) {
+  std::string text = "{ ";
+  for (int i = 0; i < b; ++i) text += "B(" + std::to_string(500 + i) + "), ";
+  text += "A0_0(500) }";
+  Instance source = ParseInstance(text, *mapping.source).ValueOrDie();
+  SymbolContext symbols;
+  ExecutionOptions options;
+  options.symbols = &symbols;
+  return ChaseTgds(mapping, source, options).ValueOrDie();
+}
+
+// Chases `input` back with `reverse`, standard and oblivious, and expects
+// the reference expansion's worlds (bytes, in order) and counts. Both sides
+// run under max_worlds, so an oblivious chase that forks past it must fail
+// on both. Returns the number of runs that compared worlds.
+int ExpectReferenceWorlds(const ReverseMapping& reverse, const Instance& input,
+                          const std::string& label) {
+  int compared = 0;
+  for (bool oblivious : {false, true}) {
+    SCOPED_TRACE(label + (oblivious ? ", oblivious" : ", standard"));
+    SymbolContext symbols;
+    ExecStats stats;
+    ExecutionOptions options;
+    options.oblivious = oblivious;
+    options.symbols = &symbols;
+    options.stats = &stats;
+    Result<std::vector<Instance>> worlds =
+        ChaseReverseWorlds(reverse, input, options);
+    SymbolContext reference_symbols;
+    ExecutionOptions reference_options;
+    reference_options.oblivious = oblivious;
+    reference_options.symbols = &reference_symbols;
+    Result<ReferenceWorlds> want =
+        ReferenceReverseWorlds(reverse, input, reference_options);
+    if (!want.ok()) {
+      EXPECT_EQ(want.status().code(), StatusCode::kResourceExhausted)
+          << want.status().ToString();
+      EXPECT_EQ(worlds.status().code(), want.status().code());
+      continue;
+    }
+    if (!worlds.ok()) {
+      ADD_FAILURE() << worlds.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(worlds->size(), want->worlds.size());
+    for (size_t i = 0; i < worlds->size() && i < want->worlds.size(); ++i) {
+      EXPECT_EQ((*worlds)[i].ToString(), want->worlds[i].ToString())
+          << "world " << i;
+    }
+    EXPECT_EQ(stats.chase_steps.load(), want->chase_steps);
+    EXPECT_EQ(stats.worlds_forked.load(), want->worlds_forked);
+    ++compared;
+  }
+  return compared;
+}
+
+// The reverse chase expands worlds exactly as the plan-free reference
+// does: ground and existential disjuncts, C(·) and ≠ guards, equalities,
+// constants, repeated and 0-ary atoms.
+TEST(ChaseReverseTest, WorldsMatchReferenceExpansion) {
+  int compared = 0;
+  // E1's maxrec, whose disjuncts are all ground, over reqbench's bands.
+  struct Band {
+    int n, k, b;
+  };
+  for (const Band& band : {Band{1, 2, 2}, Band{1, 2, 3}, Band{1, 2, 4},
+                           Band{1, 3, 2}, Band{1, 3, 3}, Band{2, 2, 2},
+                           Band{2, 2, 3}}) {
+    const TgdMapping mapping = ExponentialFamilyMapping(band.n, band.k);
+    const ReverseMapping maxrec = MaximumRecovery(mapping).ValueOrDie();
+    compared += ExpectReferenceWorlds(
+        maxrec, ExpTarget(mapping, band.b),
+        "gen:exp:" + std::to_string(band.n) + "," + std::to_string(band.k) +
+            " over " + std::to_string(band.b) + " B facts");
+  }
+  // Both recoveries of random mappings: existential disjuncts, and C(·)
+  // and ≠ guards in the premises.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomMappingConfig config;
+    config.seed = seed;
+    const TgdMapping mapping = GenerateRandomMapping(config);
+    const Instance source = GenerateInstance(*mapping.source, 3, 3, seed);
+    SymbolContext forward_symbols;
+    ExecutionOptions forward;
+    forward.symbols = &forward_symbols;
+    const Instance target = ChaseTgds(mapping, source, forward).ValueOrDie();
+    for (bool cq : {true, false}) {
+      Result<ReverseMapping> recovery =
+          cq ? CqMaximumRecovery(mapping) : MaximumRecovery(mapping);
+      if (!recovery.ok()) continue;
+      compared += ExpectReferenceWorlds(
+          *recovery, target,
+          std::string(cq ? "CqMaximumRecovery" : "maxrec") + " of seed " +
+              std::to_string(seed));
+    }
+  }
+  // Hand-built dependencies. The constant conclusion term is outside the
+  // inverse languages (Validate rejects it) but within what the chase fires.
+  const auto tschema = std::make_shared<const Schema>(
+      Schema{{"D", 1}, {"E", 1}, {"P", 2}});
+  const auto sschema = std::make_shared<const Schema>(
+      Schema{{"A", 2}, {"B", 1}, {"Z", 0}});
+  auto disjunct = [](std::vector<Atom> atoms,
+                     std::vector<VarPair> equalities = {}) {
+    ReverseDisjunct d;
+    d.atoms = std::move(atoms);
+    d.equalities = std::move(equalities);
+    return d;
+  };
+  auto dependency = [](Atom premise, std::vector<ReverseDisjunct> disjuncts) {
+    ReverseDependency dep;
+    dep.premise = {std::move(premise)};
+    dep.disjuncts = std::move(disjuncts);
+    return dep;
+  };
+  const VarId x = InternVar("x");
+  const VarId y = InternVar("y");
+  const ReverseMapping hand(
+      tschema, sschema,
+      {// A constant term: D(x) -> A(x,7) | B(x).
+       dependency(Atom::Vars("D", {"x"}),
+                  {disjunct({Atom("A", {Term::Var("x"),
+                                        Term::Const(Value::Int(7))})}),
+                   disjunct({Atom::Vars("B", {"x"})})}),
+       // A repeated atom and a 0-ary one: E(x) -> B(x), B(x) | Z().
+       dependency(Atom::Vars("E", {"x"}),
+                  {disjunct({Atom::Vars("B", {"x"}), Atom::Vars("B", {"x"})}),
+                   disjunct({Atom::Vars("Z", {})})}),
+       // An equality-guarded ground disjunct: P(x,y) -> A(x,y), x=y | B(x).
+       dependency(Atom::Vars("P", {"x", "y"}),
+                  {disjunct({Atom::Vars("A", {"x", "y"})}, {{x, y}}),
+                   disjunct({Atom::Vars("B", {"x"})})}),
+       // A ground and an existential disjunct: P(x,y) -> A(x,u) | B(y).
+       dependency(Atom::Vars("P", {"x", "y"}),
+                  {disjunct({Atom::Vars("A", {"x", "u"})}),
+                   disjunct({Atom::Vars("B", {"y"})})})});
+  const Instance hand_input =
+      ParseInstance("{ D(1), D(2), E(1), E(3), P(1,1), P(1,2), P(2,7) }",
+                    *tschema)
+          .ValueOrDie();
+  compared += ExpectReferenceWorlds(hand, hand_input, "hand-built");
+  // All but two of the 96 runs (oblivious chases of the largest E1 bands)
+  // stay within max_worlds and compare worlds.
+  EXPECT_GE(compared, 90);
+}
+
+// A disjunct atom whose arity disagrees with the schema is refused when the
+// dependency compiles, before any trigger: a ground disjunct compiles no
+// plan but is refused like one that does.
+TEST(ChaseReverseTest, DisjunctArityMismatchIsMalformed) {
+  Schema tschema{{"T", 2}};
+  Schema sschema{{"R", 2}};
+  ReverseDependency dep;
+  dep.premise = {Atom::Vars("T", {"x", "y"})};
+  for (const char* var : {"x", "u"}) {
+    ReverseDisjunct d;
+    d.atoms = {Atom::Vars("R", {var})};
+    dep.disjuncts = {d};
+    ReverseMapping rm(std::make_shared<const Schema>(tschema),
+                      std::make_shared<const Schema>(sschema), {dep});
+    Result<std::vector<Instance>> worlds =
+        ChaseReverseWorlds(rm, Instance(tschema));
+    EXPECT_EQ(worlds.status().code(), StatusCode::kMalformed) << var;
+  }
+}
+
+// On gen:exp:2,2's maxrec every disjunct is ground, so every world is
+// checked by row lookup: the reverse chase's only hom searches and index
+// builds are its trigger collections'. A per-world plan probe would make
+// 6,792 more searches here and index 513 more rows.
+TEST(ChaseReverseTest, GroundDisjunctsRunNoPerWorldSearch) {
+  const TgdMapping mapping = ExponentialFamilyMapping(2, 2);
+  const ReverseMapping maxrec = MaximumRecovery(mapping).ValueOrDie();
+  const Instance target = ExpTarget(mapping, 3);
+  SymbolContext symbols;
+  ExecStats stats;
+  ExecutionOptions options;
+  options.symbols = &symbols;
+  options.stats = &stats;
+  Result<std::vector<Instance>> worlds =
+      ChaseReverseWorlds(maxrec, target, options);
+  ASSERT_TRUE(worlds.ok()) << worlds.status().ToString();
+  EXPECT_EQ(worlds->size(), 343u);
+  EXPECT_EQ(stats.worlds_forked.load(), 342u);
+  EXPECT_EQ(stats.chase_steps.load(), 15u);
+  EXPECT_EQ(stats.hom_searches.load(), 15u);
+  EXPECT_EQ(stats.index_catchup_rows.load(), 6u);
 }
 
 TEST(ChaseSOTest, SkolemTableReusesNulls) {

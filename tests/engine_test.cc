@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -849,6 +850,35 @@ TEST(EngineRequestTest, EveryCommandAnswersTheSameBytesTwice) {
     EXPECT_EQ(response.result, first[i]) << "command " << requests[i].command;
     ExpectSpansSumTo(tracer, response.stats, requests[i].command);
   }
+}
+
+// A round trip chases forward once: the recovered worlds are chased back
+// from the very target the response prints, so their nulls are the
+// target's, and the trace holds one chase_tgds span, under round_trip.
+TEST(EngineRequestTest, RoundTripWorldsUseThePrintedTarget) {
+  EngineRequest request;
+  request.command = "roundtrip";
+  request.mapping = "R(x,y) -> S(x,z), T(z,y)";
+  request.instance = "{ R(1,2), R(3,4) }";
+  request.reverse = "T(z,y) -> R(z,y)";
+  Tracer tracer;
+  ExecutionOptions traced;
+  traced.trace = &tracer;
+  EngineResponse response = ExecuteRequest(request, traced);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.result,
+            "target:    { S(1,_N0), S(3,_N1), T(_N0,2), T(_N1,4) }\n"
+            "recovered: { R(_N0,2), R(_N1,4) }\n");
+  // Every chase_tgds span, by the name of its parent.
+  std::vector<std::string> parents;
+  std::function<void(const TraceSpan&)> walk = [&](const TraceSpan& span) {
+    for (const auto& child : span.children) {
+      if (child->name == "chase_tgds") parents.push_back(span.name);
+      walk(*child);
+    }
+  };
+  walk(tracer.root());
+  EXPECT_EQ(parents, std::vector<std::string>{"round_trip"});
 }
 
 // Fresh variables are numbered past the ordinals of variables the input
