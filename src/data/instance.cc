@@ -35,6 +35,20 @@ void AppendRowToTail(Segment& tail, const Value* row, uint32_t arity) {
   ++tail.rows;
 }
 
+// The segment table every 0-ary view reads through. A 0-ary store keeps no
+// segments, yet the plan runners fetch a row pointer (never dereferenced at
+// arity 0) for its one row; one resident segment keeps ArenaView::row and
+// segment_base free of an arity branch.
+Segment* const* NullarySegments() {
+  static Segment* const table[1] = {[] {
+    static Value sentinel;
+    static Segment segment;
+    segment.base.store(&sentinel, std::memory_order_relaxed);
+    return &segment;
+  }()};
+  return table;
+}
+
 }  // namespace
 
 Instance::Store::Store(const Store& other)
@@ -369,6 +383,7 @@ RowView Instance::Row(RelationId relation, TupleRef ref) const {
 Instance::ArenaView Instance::Arena(RelationId relation) const {
   EnsureSlots();
   const Store& store = *stores_[relation];
+  if (store.arity == 0) return ArenaView(NullarySegments(), 0);
   return ArenaView(store.seg_ptrs.data(), store.arity);
 }
 

@@ -256,7 +256,8 @@ class Instance {
   /// Segment-aware row accessor for the homomorphism/scan kernels: row i's
   /// position p is `view.row(i)[p]`. Valid until the relation store is next
   /// mutated. (The flat `ArenaData` pointer is retired: a relation's rows
-  /// are no longer one contiguous allocation.)
+  /// are no longer one contiguous allocation.) A 0-ary relation's row
+  /// pointer is valid but holds no values.
   ArenaView Arena(RelationId relation) const;
 
   /// Materialises all tuples of one relation, in insertion order. Compat /

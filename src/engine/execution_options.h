@@ -148,11 +148,6 @@ enum class CounterFold { kSum, kMax };
      subset of the arena bytes (spilled and snapshot-mapped segments         \
      excluded). This is the quantity memory_budget_bytes bounds. */          \
   X(arena_resident_bytes, kMax)                                              \
-  /* Vectorized executions routed to the scalar interpreter because the      \
-     compiled plan exceeded ExecutionOptions::vector_max_plan_steps. A       \
-     nonzero count explains why the vector counters stay low on a            \
-     vectorized run. */                                                      \
-  X(vector_plan_fallbacks, kSum)                                             \
   /* Spill-file reads retried after a transient I/O failure before a         \
      segment fault-in succeeded (or gave up — see Segment::FaultIn). A       \
      nonzero count on a healthy run points at flaky storage under the spill  \
@@ -399,21 +394,17 @@ struct ExecutionOptions : ResourceLimits {
   /// 1 means sequential. Output is bit-identical for every thread count.
   int threads = 1;
   /// Batch-at-a-time execution: rows per scan/expansion block of the
-  /// vectorized executor and triggers per bulk-fire batch. Trigger
+  /// trigger-collection executor and triggers per bulk-fire batch. Trigger
   /// enumeration runs the compiled plan's check/bind micro-ops over
-  /// selection vectors of arena blocks, and the fire loop appends whole
-  /// batches through Instance::AddRows (see eval/vector_plan.h and
-  /// docs/ENGINE.md). 0 selects the scalar tuple-at-a-time path, retained as
-  /// the differential oracle. Output is bit-identical for every batch size
-  /// and thread count; stats counters may differ between the two paths
-  /// (each path counts into its own counters).
+  /// selection vectors of arena blocks at every plan width, and the fire
+  /// loop appends whole batches through Instance::AddRows (see
+  /// eval/vector_plan.h and docs/ENGINE.md). 0 scans one-row blocks and fires
+  /// trigger by trigger. Output is bit-identical for every batch size and
+  /// thread count. Searches outside trigger collection (HomSearch) never read
+  /// it: they always run tuple-at-a-time.
   size_t vector_batch = 1024;
-  /// Compiled plans longer than this many steps run on the scalar
-  /// interpreter even when `vector_batch` is set (the vectorized executor's
-  /// per-step level state is sized for typical rule bodies; see
-  /// eval/vector_plan.h). Each such routing bumps
-  /// ExecStats::vector_plan_fallbacks. 0 forces the scalar path for every
-  /// plan.
+  /// No-op: no executor reads it. Kept only for its reader at
+  /// reqbench/src/inprocess.cc:421.
   size_t vector_max_plan_steps = 32;
   /// Memory budget for chase *target* instances, in bytes of heap-resident
   /// tuple payload (Instance::ResidentBytes); 0 means unlimited. When a

@@ -6,7 +6,6 @@
 
 #include "engine/failpoint.h"
 #include "engine/thread_pool.h"
-#include "engine/trace.h"
 #include "eval/hom_plan.h"
 #include "eval/vector_plan.h"
 
@@ -17,43 +16,8 @@ namespace {
 FailPoint fp_collect_entry("collect_triggers/entry");
 FailPoint fp_collect_chunk("collect_triggers/chunk");
 
-// Binds `atom`'s terms against `tuple` into `out` (starting empty), applying
-// the same eager checks ForEachHom performs: constants must match, repeated
-// variables must agree, constant-constrained variables reject nulls, and
-// fully bound inequalities must hold. Returns false if the tuple is not a
-// match for the atom. (The vectorized path runs the identical checks through
-// the compiled SeedProgram; this is the scalar oracle.)
-bool BindCandidate(const Atom& atom, RowView tuple,
-                   const HomConstraints& constraints, Assignment* out) {
-  for (size_t p = 0; p < atom.terms.size(); ++p) {
-    const Term& t = atom.terms[p];
-    if (t.is_constant()) {
-      if (!(t.value() == tuple[p])) return false;
-    } else {
-      auto it = out->find(t.var());
-      if (it == out->end()) {
-        if (constraints.constant_vars.contains(t.var()) &&
-            !tuple[p].is_constant()) {
-          return false;
-        }
-        out->emplace(t.var(), tuple[p]);
-      } else if (!(it->second == tuple[p])) {
-        return false;
-      }
-    }
-  }
-  for (const VarPair& ne : constraints.inequalities) {
-    auto a = out->find(ne.first);
-    auto b = out->find(ne.second);
-    if (a != out->end() && b != out->end() && a->second == b->second) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// The variables the pinned atom binds — exactly the bound set BindCandidate
-// assigns, hence the bound set the remaining-premise plan compiles against.
+// The variables the pinned atom binds: the bound set the remaining-premise
+// plan compiles against.
 std::vector<VarId> PinnedVars(const Atom& atom) {
   std::vector<VarId> vars;
   for (const Term& t : atom.terms) {
@@ -91,25 +55,18 @@ Result<std::vector<uint16_t>> ColumnSlots(const HomPlan& plan,
   return slots;
 }
 
-// The shared chunked enumeration core: scans `pinned`'s candidate rows
-// [begin_row, end_row) in insertion order, binds each against the pinned
-// atom, runs the compiled remaining-premise plan, and appends every full
-// trigger row passing `accept` (null = keep all; rows are in `out->vars`
-// column order) to `out` in a deterministic order. One output slot per
-// contiguous chunk, merged in chunk order, so the result is independent of
-// scheduling and of the chunk count itself — threads == 1 executes the same
-// chunks inline.
-//
-// With options.vector_batch > 0 each chunk block-scans its row range
-// through the compiled seed checks and expands survivors through the
-// selection-vector plan executor; a plan longer than
-// options.vector_max_plan_steps falls back to the scalar path and bumps
-// vector_plan_fallbacks. vector_batch 0 runs the scalar tuple-at-a-time
-// oracle. Both paths fill `out` bit-identically.
-Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
-                      const Atom& pinned, RelationId rel, size_t begin_row,
-                      size_t end_row, const HomPlan& remaining_plan,
-                      const HomConstraints& constraints,
+// The shared chunked enumeration core: block-scans `pinned`'s candidate
+// rows [begin_row, end_row) in insertion order through the compiled seed
+// checks, expands each survivor through the compiled remaining-premise plan
+// (eval/vector_plan.h), and appends every full trigger row passing `accept`
+// (null = keep all; rows are in `out->vars` column order) to `out` in a
+// deterministic order. One output slot per contiguous chunk, merged in chunk
+// order, so the result is independent of scheduling and of the chunk count
+// itself — threads == 1 executes the same chunks inline. Every batch size
+// and thread count fills `out` bit-identically.
+Status ScanPinnedAtom(const Instance& instance, const Atom& pinned,
+                      size_t begin_row, size_t end_row,
+                      const HomPlan& remaining_plan,
                       const ExecutionOptions& options,
                       const ExecDeadline& deadline,
                       const std::function<bool(const Value*)>& accept,
@@ -117,21 +74,11 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
   const size_t n = end_row - begin_row;
   if (n == 0) return Status::OK();
   const size_t stride = out->vars.size();
-
-  const bool vectorized =
-      options.vector_batch > 0 &&
-      remaining_plan.steps.size() <= options.vector_max_plan_steps;
-  if (!vectorized && options.vector_batch > 0 && options.stats != nullptr) {
-    options.stats->vector_plan_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-  SeedProgram seed;
-  std::vector<uint16_t> col_slots;  // trigger column -> plan slot
-  if (vectorized) {
-    MAPINV_ASSIGN_OR_RETURN(seed,
-                            CompileSeedProgram(instance, pinned, remaining_plan));
-    MAPINV_ASSIGN_OR_RETURN(col_slots, ColumnSlots(remaining_plan, out->vars));
-  }
+  MAPINV_ASSIGN_OR_RETURN(SeedProgram seed,
+                          CompileSeedProgram(instance, pinned, remaining_plan));
+  // Trigger column -> plan slot.
+  MAPINV_ASSIGN_OR_RETURN(std::vector<uint16_t> col_slots,
+                          ColumnSlots(remaining_plan, out->vars));
 
   int threads = options.threads < 1 ? 1 : options.threads;
   ThreadPool* pool = nullptr;
@@ -146,7 +93,6 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
   std::vector<size_t> slot_rows(chunk_count, 0);
   std::vector<Status> statuses(chunk_count, Status::OK());
   std::atomic<bool> abort{false};
-  std::atomic<uint64_t> rejected{0};
 
   auto run_chunk = [&](size_t c) {
     const size_t begin = begin_row + c * chunk_size;
@@ -158,83 +104,33 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
     }
     std::vector<Value>& slot = slots[c];
     size_t rows = 0;
-    if (vectorized) {
-      // Vectorized chunk: the seeded executor polls cancel/deadline once per
-      // block and books its work into the vector_* counters.
-      VectorRunStats vstats;
-      std::vector<Value> rowbuf(stride);
-      Status status = RunSeededPlanVectorized(
-          instance, seed, begin, end, remaining_plan, options.vector_batch,
-          [&](const Value* slot_row) {
-            if (abort.load(std::memory_order_relaxed)) return false;
-            for (size_t j = 0; j < stride; ++j) {
-              rowbuf[j] = slot_row[col_slots[j]];
-            }
-            if (!accept || accept(rowbuf.data())) {
-              slot.insert(slot.end(), rowbuf.begin(), rowbuf.end());
-              ++rows;
-            }
-            return true;
-          },
-          &options, &deadline, "collect_triggers",
-          options.stats != nullptr ? &vstats : nullptr);
-      FlushVectorRunStats(vstats, options.stats);
-      if (options.stats != nullptr) {
-        // One search per seeded plan execution (the scalar branch books one
-        // per surviving seed candidate instead — the counter means "plan
-        // executions", so its magnitude is path-dependent by design).
-        options.stats->hom_searches.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!status.ok()) {
-        statuses[c] = std::move(status);
-        abort.store(true, std::memory_order_relaxed);
-      }
-      slot_rows[c] = rows;
-      return;
-    }
-    uint64_t local_rejected = 0;
-    Assignment bindings;  // reused per candidate; clear() keeps its buckets
+    // The seeded executor polls cancel/deadline once per block and books its
+    // work into the vector_* counters.
+    VectorRunStats vstats;
     std::vector<Value> rowbuf(stride);
-    for (size_t i = begin;
-         i < end && !abort.load(std::memory_order_relaxed); ++i) {
-      // The cancel poll is a relaxed load; Expired() amortises its own clock
-      // reads — so polling both every candidate is cheap.
-      if (CancelRequested(options)) {
-        statuses[c] = PhaseCancelled("collect_triggers");
-        abort.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (deadline.Expired()) {
-        statuses[c] = PhaseExhausted(
-            "collect_triggers", "deadline exceeded during trigger enumeration");
-        abort.store(true, std::memory_order_relaxed);
-        break;
-      }
-      bindings.clear();
-      if (!BindCandidate(pinned, instance.Row(rel, static_cast<TupleRef>(i)),
-                         constraints, &bindings)) {
-        ++local_rejected;
-        continue;
-      }
-      Status status = search.ForEachHomWithPlanScalar(
-          remaining_plan, bindings, [&](const Assignment& h) {
-            for (size_t j = 0; j < stride; ++j) {
-              rowbuf[j] = h.at(out->vars[j]);
-            }
-            if (!accept || accept(rowbuf.data())) {
-              slot.insert(slot.end(), rowbuf.begin(), rowbuf.end());
-              ++rows;
-            }
-            return true;
-          });
-      if (!status.ok()) {
-        statuses[c] = std::move(status);
-        abort.store(true, std::memory_order_relaxed);
-        break;
-      }
+    Status status = RunSeededPlanVectorized(
+        instance, seed, begin, end, remaining_plan, options.vector_batch,
+        [&](const Value* slot_row) {
+          if (abort.load(std::memory_order_relaxed)) return false;
+          for (size_t j = 0; j < stride; ++j) {
+            rowbuf[j] = slot_row[col_slots[j]];
+          }
+          if (!accept || accept(rowbuf.data())) {
+            slot.insert(slot.end(), rowbuf.begin(), rowbuf.end());
+            ++rows;
+          }
+          return true;
+        },
+        options, deadline, "collect_triggers",
+        options.stats != nullptr ? &vstats : nullptr);
+    FlushVectorRunStats(vstats, options.stats);
+    if (options.stats != nullptr) {
+      // One search per seeded plan execution: one per chunk.
+      options.stats->hom_searches.fetch_add(1, std::memory_order_relaxed);
     }
-    if (local_rejected != 0) {
-      rejected.fetch_add(local_rejected, std::memory_order_relaxed);
+    if (!status.ok()) {
+      statuses[c] = std::move(status);
+      abort.store(true, std::memory_order_relaxed);
     }
     slot_rows[c] = rows;
   };
@@ -245,10 +141,6 @@ Status ScanPinnedAtom(const HomSearch& search, const Instance& instance,
     pool->ParallelFor(chunk_count, run_chunk);
   }
 
-  if (options.stats != nullptr) {
-    options.stats->hom_backtracks.fetch_add(
-        rejected.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  }
   for (Status& status : statuses) {
     MAPINV_RETURN_NOT_OK(status);
   }
@@ -326,9 +218,8 @@ Result<TriggerBatch> CollectTriggers(
       std::shared_ptr<const HomPlan> remaining_plan,
       search.GetPlanForVars(remaining, constraints, PinnedVars(first)));
 
-  MAPINV_RETURN_NOT_OK(ScanPinnedAtom(search, instance, first, rel, 0, n,
-                                      *remaining_plan, constraints, options,
-                                      deadline, nullptr, &batch));
+  MAPINV_RETURN_NOT_OK(ScanPinnedAtom(instance, first, 0, n, *remaining_plan,
+                                      options, deadline, nullptr, &batch));
   return batch;
 }
 
@@ -417,9 +308,9 @@ Result<TriggerBatch> CollectTriggersDelta(
       }
       return true;
     };
-    MAPINV_RETURN_NOT_OK(ScanPinnedAtom(search, instance, pinned, rel, mark,
-                                        n, *remaining_plan, constraints,
-                                        options, deadline, accept, &batch));
+    MAPINV_RETURN_NOT_OK(ScanPinnedAtom(instance, pinned, mark, n,
+                                        *remaining_plan, options, deadline,
+                                        accept, &batch));
   }
   return batch;
 }

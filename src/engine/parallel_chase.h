@@ -24,13 +24,14 @@
 /// inline — which is what makes multi-thread output bit-identical to
 /// single-thread, and both identical to the historical sequential chase.
 ///
-/// With `options.vector_batch` > 0 (the default) each chunk runs
-/// batch-at-a-time: the pinned atom's seed checks and the remaining-premise
-/// plan execute through the selection-vector executor of
-/// eval/vector_plan.h, and triggers land directly in the TriggerBatch value
-/// matrix — no per-trigger hash maps. `options.vector_batch = 0` retains the
-/// tuple-at-a-time scan as a differential oracle; both paths produce
-/// bit-identical batches.
+/// Each chunk runs batch-at-a-time, at every plan width: the pinned atom's
+/// seed checks and the remaining-premise plan execute through the
+/// selection-vector executor of eval/vector_plan.h in blocks of
+/// `options.vector_batch` rows (0 runs one-row blocks), and triggers land
+/// directly in the TriggerBatch value matrix — no per-trigger hash maps.
+/// Every batch size yields the same batch bit-for-bit. The per-candidate
+/// scan is kept as a test oracle, ReferenceCollectTriggers in
+/// tests/hom_oracles.h.
 ///
 /// Callers must not grow the instance while a collection is in flight;
 /// CollectTriggers prewarms the search indexes and compiles the shared
@@ -90,12 +91,11 @@ struct TriggerBatch {
 /// sequential backtracking search reports them.
 ///
 /// `options.threads` > 1 fans the enumeration out on `options.pool` (or the
-/// process-shared pool). `options.vector_batch` > 0 selects the
-/// batch-at-a-time scan with that many rows per block, and 0 the scalar
-/// path, which yields the same batch bit-for-bit. Fails with
-/// kResourceExhausted once `deadline` expires, and propagates validation
-/// errors (unknown relation, arity mismatch, function terms) exactly like
-/// ForEachHom.
+/// process-shared pool). `options.vector_batch` sets the rows per block of
+/// the scan (0 runs one-row blocks); every size yields the same batch
+/// bit-for-bit. Fails with kResourceExhausted once `deadline` expires, and
+/// propagates validation errors (unknown relation, arity mismatch, function
+/// terms) exactly like ForEachHom.
 Result<TriggerBatch> CollectTriggers(const HomSearch& search,
                                      const Instance& instance,
                                      const std::vector<Atom>& premise,

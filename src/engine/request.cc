@@ -72,10 +72,6 @@ ExecutionOptions EffectiveOptions(const RequestOptions& req,
     options.memory_budget_bytes = *req.memory_budget_bytes;
   }
   if (req.spill_dir) options.spill_dir = *req.spill_dir;
-  if (req.vector_max_plan_steps) {
-    options.vector_max_plan_steps =
-        static_cast<size_t>(*req.vector_max_plan_steps);
-  }
   if (req.checkpoint_dir) options.checkpoint_dir = *req.checkpoint_dir;
   if (req.checkpoint_every) {
     options.checkpoint_every = static_cast<size_t>(*req.checkpoint_every);
@@ -493,8 +489,6 @@ Result<EngineRequest> EngineRequestFromJson(const Json& json) {
     }
     MAPINV_RETURN_NOT_OK(
         take_uint("memory_budget_bytes", &request.options.memory_budget_bytes));
-    MAPINV_RETURN_NOT_OK(take_uint("vector_max_plan_steps",
-                                   &request.options.vector_max_plan_steps));
     if (const Json* v = options->Find("spill_dir"); v != nullptr) {
       if (!v->IsString()) {
         return Status::InvalidArgument("option \"spill_dir\" must be a string");
@@ -567,9 +561,6 @@ Json EngineRequestToJson(const EngineRequest& request) {
     options.Set("memory_budget_bytes", Json(*o.memory_budget_bytes));
   }
   if (o.spill_dir) options.Set("spill_dir", Json(*o.spill_dir));
-  if (o.vector_max_plan_steps) {
-    options.Set("vector_max_plan_steps", Json(*o.vector_max_plan_steps));
-  }
   if (o.checkpoint_dir) options.Set("checkpoint_dir", Json(*o.checkpoint_dir));
   if (o.checkpoint_every) {
     options.Set("checkpoint_every", Json(*o.checkpoint_every));

@@ -70,9 +70,6 @@ struct RequestOptions {
   /// chase targets, and the spill-file directory. 0 budget = unlimited.
   std::optional<uint64_t> memory_budget_bytes;
   std::optional<std::string> spill_dir;
-  /// Vectorized-executor plan-size ceiling (ExecutionOptions::
-  /// vector_max_plan_steps); 0 forces the scalar path for every plan.
-  std::optional<uint64_t> vector_max_plan_steps;
   /// Durable-job knobs (ExecutionOptions::checkpoint_dir/checkpoint_every/
   /// resume): the documented carve-out to "the engine never touches the
   /// filesystem" — a checkpoint directory is the *product* of a durable job,

@@ -5,7 +5,6 @@
 
 #include "engine/execution_options.h"
 #include "eval/hom_plan.h"
-#include "eval/vector_plan.h"
 
 namespace mapinv {
 
@@ -86,55 +85,6 @@ const Assignment kNoFixed;
 }  // namespace
 
 Status HomSearch::ForEachHomWithPlan(
-    const HomPlan& plan, const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& callback) const {
-  if (vector_batch_ == 0 || plan.steps.size() > vector_max_plan_steps_) {
-    if (vector_batch_ != 0 && stats_ != nullptr) {
-      // Vectorization was requested but the plan is too wide: make the
-      // scalar routing observable.
-      stats_->vector_plan_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-    return RunPlan(plan, &fixed, nullptr, &callback, nullptr);
-  }
-  std::vector<Value> fixed_values;
-  fixed_values.reserve(plan.fixed_vars.size());
-  for (VarId v : plan.fixed_vars) {
-    auto it = fixed.find(v);
-    if (it == fixed.end()) {
-      return Status::InvalidArgument(
-          "fixed assignment is missing variable v" + std::to_string(v) +
-          " that the plan was compiled with");
-    }
-    fixed_values.push_back(it->second);
-  }
-  // The callback assignment is built lazily at the first match, exactly like
-  // the scalar executor, so no-match searches never copy `fixed`.
-  Assignment out;
-  bool out_ready = false;
-  VectorRunStats vstats;
-  Status status = RunHomPlanVectorized(
-      instance_, plan, fixed_values.data(), vector_batch_,
-      [&](const Value* slots) {
-        if (!out_ready) {
-          out = fixed;
-          out_ready = true;
-        }
-        for (size_t k = 0; k < plan.emit_slots.size(); ++k) {
-          out.insert_or_assign(plan.emit_vars[k], slots[plan.emit_slots[k]]);
-        }
-        return callback(out);
-      },
-      stats_ != nullptr ? &vstats : nullptr);
-  FlushVectorRunStats(vstats, stats_);
-  if (stats_ != nullptr) {
-    // One search per plan execution, the same invariant as the scalar
-    // runner; the inner-loop work is reported via the vector_* counters.
-    stats_->hom_searches.fetch_add(1, std::memory_order_relaxed);
-  }
-  return status;
-}
-
-Status HomSearch::ForEachHomWithPlanScalar(
     const HomPlan& plan, const Assignment& fixed,
     const std::function<bool(const Assignment&)>& callback) const {
   return RunPlan(plan, &fixed, nullptr, &callback, nullptr);

@@ -16,9 +16,12 @@
 ///
 /// ForEachHom compiles the conjunction into a HomPlan (see hom_plan.h) on
 /// first use and caches it under a content key, so repeated matching of the
-/// same rule pays join-order selection and constraint lowering once. The
-/// pre-plan interpreter lives on as a test oracle, ReferenceForEachHom in
-/// tests/hom_oracles.h.
+/// same rule pays join-order selection and constraint lowering once. Every
+/// search and existence probe here runs that plan tuple-at-a-time (RunPlan),
+/// which reaches a first match without touching the rest of the candidates.
+/// The chase's premise scans run the same plans block-at-a-time instead
+/// (engine/parallel_chase.h, eval/vector_plan.h). The pre-plan interpreter
+/// lives on as a test oracle, ReferenceForEachHom in tests/hom_oracles.h.
 
 #ifndef MAPINV_EVAL_HOM_H_
 #define MAPINV_EVAL_HOM_H_
@@ -95,42 +98,19 @@ class HomSearch {
       const std::vector<Atom>& atoms, const HomConstraints& constraints,
       std::vector<VarId> bound_vars) const;
 
-  /// Executes a compiled plan. `fixed` must bind exactly the variables the
-  /// plan was compiled with (`plan.fixed_vars`); extra keys are copied into
-  /// the callback assignment but take no part in matching. The callback
-  /// contract matches ForEachHom.
-  ///
-  /// Runs batch-at-a-time through the vectorized executor (see
-  /// eval/vector_plan.h) unless set_vector_batch(0) selected the scalar
-  /// path; matches arrive in the same order either way.
+  /// Executes a compiled plan tuple-at-a-time. `fixed` must bind exactly
+  /// the variables the plan was compiled with (`plan.fixed_vars`); extra keys
+  /// are copied into the callback assignment but take no part in matching.
+  /// The callback contract matches ForEachHom. Books its work into
+  /// hom_searches (one per call), hom_bucket_candidates, hom_backtracks and
+  /// hom_slot_bindings.
   Status ForEachHomWithPlan(
       const HomPlan& plan, const Assignment& fixed,
       const std::function<bool(const Assignment&)>& callback) const;
 
-  /// Scalar tuple-at-a-time plan execution, bypassing the vectorized
-  /// executor regardless of set_vector_batch — the differential oracle for
-  /// the vectorized path, and the engine's ExecutionOptions::vector_batch =
-  /// 0 route. Same contract and enumeration order as ForEachHomWithPlan.
-  Status ForEachHomWithPlanScalar(
-      const HomPlan& plan, const Assignment& fixed,
-      const std::function<bool(const Assignment&)>& callback) const;
-
-  /// Block size for the vectorized executor behind ForEachHom /
-  /// ForEachHomWithPlan; 0 selects the scalar tuple-at-a-time executor.
-  /// Existence checks (Exists*) always run scalar — they stop at the first
-  /// match, where batching buys nothing.
-  void set_vector_batch(size_t batch) { vector_batch_ = batch; }
-  size_t vector_batch() const { return vector_batch_; }
-
-  /// Plan-size ceiling for the vectorized executor behind ForEachHom /
-  /// ForEachHomWithPlan: compiled plans with more steps run scalar even when
-  /// a vector batch is set (and bump ExecStats::vector_plan_fallbacks).
-  /// Defaults to kVectorMaxPlanSteps. The chase engines do not read it: their
-  /// trigger collection takes ExecutionOptions::vector_max_plan_steps.
-  void set_vector_max_plan_steps(size_t steps) {
-    vector_max_plan_steps_ = steps;
-  }
-  size_t vector_max_plan_steps() const { return vector_max_plan_steps_; }
+  /// No-op: every search runs tuple-at-a-time. Kept only for the call at
+  /// reqbench/src/inprocess.cc:421.
+  void set_vector_max_plan_steps(size_t) {}
 
   /// Existence check on a compiled plan. Equivalent to ForEachHomWithPlan
   /// with a stop-at-first callback, but never materialises an Assignment —
@@ -178,9 +158,6 @@ class HomSearch {
 
   const Instance& instance_;
   ExecStats* stats_ = nullptr;
-  // Defaults match ExecutionOptions::vector_batch / vector_max_plan_steps.
-  size_t vector_batch_ = 1024;
-  size_t vector_max_plan_steps_ = 32;
 
   // Plan cache: key hash -> plans with that hash (full key compared to rule
   // out collisions). Guarded by plans_mutex_ so concurrent searches after

@@ -122,16 +122,15 @@ StepProgram LowerStep(const HomPlan::Step& step) {
   return sp;
 }
 
-/// The batch executor: one per run (or per chunk of the chase's premise
-/// scan), reused across every block the run touches.
+/// The batch executor: one per chunk of the chase's premise scan, reused
+/// across every block the chunk touches.
 class Exec {
  public:
   Exec(const Instance& instance, const HomPlan& plan, size_t batch,
        const std::function<bool(const Value*)>& emit,
-       const ExecutionOptions* options, const ExecDeadline* deadline,
+       const ExecutionOptions& options, const ExecDeadline& deadline,
        std::string_view phase, VectorRunStats* vstats)
       : instance_(instance),
-        plan_(plan),
         batch_(batch < 1 ? 1 : batch),
         emit_(emit),
         options_(options),
@@ -157,30 +156,7 @@ class Exec {
     scratch_.resize(num_steps + 1);
   }
 
-  /// Full-plan mode: one root row from the plan's fixed values.
-  Status RunFromFixed(const Value* fixed_values) {
-    Level& root = levels_[0];
-    EnsureCapacity(&root, 1);
-    Value* row = root.matrix.data();
-    for (uint16_t s = 0; s < num_slots_; ++s) row[s] = Value();
-    for (size_t i = 0; i < plan_.fixed_slots.size(); ++i) {
-      row[plan_.fixed_slots[i]] = fixed_values[i];
-    }
-    // Init checks run scalar on the single root row (the seeded mode lowers
-    // them into the seed block program instead).
-    for (uint16_t s : plan_.init_constant_slots) {
-      if (!row[s].is_constant()) return Status::OK();
-    }
-    for (const auto& [sa, sb] : plan_.init_inequalities) {
-      if (row[sa] == row[sb]) return Status::OK();
-    }
-    root.rows = 1;
-    Status status = ProcessLevel(0);
-    root.rows = 0;
-    return status;
-  }
-
-  /// Seeded mode: block-scan [begin_row, end_row) of the pinned relation.
+  /// Block-scans [begin_row, end_row) of the pinned relation.
   /// Blocks additionally split at segment boundaries, so each block's rows
   /// sit in one contiguous segment stripe and the check loops run off a flat
   /// base pointer. The extra splits only move block boundaries, which the
@@ -298,10 +274,8 @@ class Exec {
   }
 
   Status Poll() {
-    if (options_ != nullptr && CancelRequested(*options_)) {
-      return PhaseCancelled(phase_);
-    }
-    if (deadline_ != nullptr && deadline_->Expired()) {
+    if (CancelRequested(options_)) return PhaseCancelled(phase_);
+    if (deadline_.Expired()) {
       return PhaseExhausted(phase_,
                             "deadline exceeded during trigger enumeration");
     }
@@ -466,11 +440,10 @@ class Exec {
   }
 
   const Instance& instance_;
-  const HomPlan& plan_;
   const size_t batch_;
   const std::function<bool(const Value*)>& emit_;
-  const ExecutionOptions* options_;
-  const ExecDeadline* deadline_;
+  const ExecutionOptions& options_;
+  const ExecDeadline& deadline_;
   const std::string_view phase_;
   VectorRunStats* vstats_;
   const uint16_t num_slots_;
@@ -544,7 +517,7 @@ Result<SeedProgram> CompileSeedProgram(const Instance& instance,
     }
     seed.binds.push_back({static_cast<uint16_t>(slot), p});
   }
-  // The plan's init checks cover the constraints BindCandidate applies
+  // The plan's init checks cover the constraints a pinned row must pass
   // eagerly (constant-constrained pinned variables, inequalities between two
   // pinned variables); lower them to row-local checks via the bind positions.
   auto pos_of_slot = [&seed](uint16_t slot) -> int64_t {
@@ -572,22 +545,13 @@ Result<SeedProgram> CompileSeedProgram(const Instance& instance,
   return seed;
 }
 
-Status RunHomPlanVectorized(const Instance& instance, const HomPlan& plan,
-                            const Value* fixed_values, size_t batch,
-                            const std::function<bool(const Value*)>& emit,
-                            VectorRunStats* vstats) {
-  Exec exec(instance, plan, batch, emit, /*options=*/nullptr,
-            /*deadline=*/nullptr, /*phase=*/"hom_search", vstats);
-  return exec.RunFromFixed(fixed_values);
-}
-
 Status RunSeededPlanVectorized(const Instance& instance,
                                const SeedProgram& seed, size_t begin_row,
                                size_t end_row, const HomPlan& plan,
                                size_t batch,
                                const std::function<bool(const Value*)>& emit,
-                               const ExecutionOptions* options,
-                               const ExecDeadline* deadline,
+                               const ExecutionOptions& options,
+                               const ExecDeadline& deadline,
                                std::string_view phase,
                                VectorRunStats* vstats) {
   Exec exec(instance, plan, batch, emit, options, deadline, phase, vstats);

@@ -1,17 +1,20 @@
 /// \file vector_plan.h
-/// \brief Batch-at-a-time execution of compiled homomorphism plans: block
-/// scans over the columnar arenas with selection-vector compaction.
+/// \brief Batch-at-a-time execution of compiled homomorphism plans for the
+/// chase's premise scans: block scans over the columnar arenas with
+/// selection-vector compaction.
 ///
-/// The scalar executor in hom.cc walks the compiled join order one candidate
-/// tuple at a time: per candidate it runs the step's check/bind micro-ops,
-/// recurses, and materialises an Assignment at every match. This file runs
-/// the *same plan* batch-at-a-time:
+/// Trigger collection (CollectTriggers / CollectTriggersDelta, see
+/// engine/parallel_chase.h) is the one caller, at every plan width. Every
+/// other search (ForEachHom, the Exists* probes) runs the scalar runner in
+/// hom.cc, which walks the same compiled join order one candidate tuple at a
+/// time and reaches a first match without cascading a block through every
+/// step. This file runs a plan batch-at-a-time:
 ///
 ///   * candidate rows are taken in fixed-size blocks (ExecutionOptions::
-///     vector_batch, default 1024) — from the pinned relation's arena slice
-///     for the chase's chunked premise scan, or from the step's smallest
-///     index bucket (intersected with the second-smallest exactly like the
-///     scalar executor) during join expansion;
+///     vector_batch, default 1024; 0 runs one-row blocks) — from the pinned
+///     relation's arena slice for the chase's chunked premise scan, or from
+///     the step's smallest index bucket (intersected with the second-smallest
+///     exactly like the scalar runner) during join expansion;
 ///   * each micro-op becomes one tight loop over the block's selection
 ///     vector of surviving candidate refs: constant and inequality checks
 ///     compare one arena column against one broadcast value (or a second
@@ -25,14 +28,16 @@
 /// step's candidates ascend by tuple insertion index (index buckets are
 /// ascending, blocks partition them in order, and compaction is stable), and
 /// a flushed child block is driven to completion before its parents produce
-/// more children — so matches are emitted in exactly the scalar executor's
+/// more children — so matches are emitted in exactly the scalar runner's
 /// depth-first order, for every batch size. tests/vector_plan_test.cc pins
-/// this differentially against the scalar path and the interpreter.
+/// this against ForEachHom and the per-candidate collection oracle
+/// ReferenceCollectTriggers (tests/hom_oracles.h).
 ///
-/// Stats: the vectorized path books its work into the vector_* counters of
-/// ExecStats (via VectorRunStats) and leaves the scalar path's hom_searches /
-/// hom_bucket_candidates / hom_backtracks untouched, so each counter family
-/// describes exactly the path that bumped it.
+/// Stats: this executor books its work into the vector_* counters of
+/// ExecStats (via VectorRunStats) and the scalar runner into hom_backtracks /
+/// hom_bucket_candidates / hom_slot_bindings, so each counter family
+/// describes exactly the executor that bumped it. Both book hom_searches once
+/// per plan execution.
 
 #ifndef MAPINV_EVAL_VECTOR_PLAN_H_
 #define MAPINV_EVAL_VECTOR_PLAN_H_
@@ -68,30 +73,16 @@ struct ExecStats;
 /// null `stats` is a no-op).
 void FlushVectorRunStats(const VectorRunStats& v, ExecStats* stats);
 
-/// Default for ExecutionOptions::vector_max_plan_steps: plans wider than
-/// this many steps run on the scalar executor even when vectorized execution
-/// is on (each such routing bumps ExecStats::vector_plan_fallbacks).
-/// Batch execution pays a per-run cost
-/// proportional to the step count (op lowering, one level matrix per step)
-/// and reaches its first match only after cascading a block through every
-/// level — a win when plans are small relative to the rows they scan (chase
-/// premises: a handful of atoms over arena-sized relations), a severe loss
-/// for instance-as-query searches such as core folding, where a 256-fact
-/// instance becomes a 256-step plan probed thousands of times for a single
-/// early-stopped match. Both executors emit in the same order, so routing is
-/// invisible in the output.
-inline constexpr size_t kVectorMaxPlanSteps = 32;
-
 /// \brief Per-row checks and slot writes compiled from a pinned premise atom,
 /// for seeding a plan whose bound variables are the atom's variables.
 ///
-/// Reproduces exactly the eager checks the chase's scalar BindCandidate
-/// performs on a candidate row of the pinned relation: constant terms must
-/// match, repeated variables must agree, constant-constrained variables
-/// reject nulls, and inequalities between two pinned variables must hold
-/// (the latter two lowered from the plan's init checks, which cover the same
-/// conditions on the fixed slots). All checks are row-local column compares,
-/// so a whole arena block runs through them selection-vector style.
+/// The eager checks on a candidate row of the pinned relation: constant
+/// terms must match, repeated variables must agree, constant-constrained
+/// variables reject nulls, and inequalities between two pinned variables
+/// must hold (the latter two lowered from the plan's init checks, which cover
+/// the same conditions on the fixed slots). All checks are row-local column
+/// compares, so a whole arena block runs through them selection-vector
+/// style.
 struct SeedProgram {
   RelationId relation = 0;
   uint32_t arity = 0;
@@ -132,33 +123,24 @@ Result<SeedProgram> CompileSeedProgram(const Instance& instance,
                                        const Atom& pinned,
                                        const HomPlan& plan);
 
-/// Executes `plan` batch-at-a-time over `instance`. `fixed_values[i]` is the
-/// value of `plan.fixed_vars[i]` (may be null when the plan has no fixed
-/// variables). For every homomorphism, `emit` receives the full slot row —
-/// `row[s]` is the value of `plan.slot_vars[s]`, valid only during the call;
-/// returning false stops the enumeration. Matches arrive in exactly the
-/// scalar executor's order.
-Status RunHomPlanVectorized(const Instance& instance, const HomPlan& plan,
-                            const Value* fixed_values, size_t batch,
-                            const std::function<bool(const Value*)>& emit,
-                            VectorRunStats* vstats);
-
-/// Seeded variant for the chase's chunked premise scan: rows
-/// [begin_row, end_row) of `seed.relation` run through the seed checks in
-/// blocks; each surviving row initialises `plan`'s fixed slots and the plan
-/// expands it through the remaining premise atoms. `emit` as above — the
-/// slot row covers every premise variable (pinned variables live in the
-/// plan's fixed slots). Polls `options`' cancel token and `deadline` once
-/// per block, failing with PhaseCancelled/PhaseExhausted under `phase` —
-/// the same statuses the scalar scan produces (both may be null to disable
-/// polling).
+/// Executes `plan` batch-at-a-time for the chase's chunked premise scan:
+/// rows [begin_row, end_row) of `seed.relation` run through the seed checks
+/// in blocks of `batch` rows (0 runs one-row blocks); each surviving row
+/// initialises `plan`'s fixed slots and the plan expands it through the
+/// remaining premise atoms. For every homomorphism, `emit` receives the full
+/// slot row — `row[s]` is the value of `plan.slot_vars[s]`, valid only during
+/// the call; returning false stops the enumeration. The slot row covers
+/// every premise variable (pinned variables live in the plan's fixed slots),
+/// and matches arrive in exactly the scalar runner's order. Polls `options`'
+/// cancel token and `deadline` once per block, failing with
+/// PhaseCancelled/PhaseExhausted under `phase`.
 Status RunSeededPlanVectorized(const Instance& instance,
                                const SeedProgram& seed, size_t begin_row,
                                size_t end_row, const HomPlan& plan,
                                size_t batch,
                                const std::function<bool(const Value*)>& emit,
-                               const ExecutionOptions* options,
-                               const ExecDeadline* deadline,
+                               const ExecutionOptions& options,
+                               const ExecDeadline& deadline,
                                std::string_view phase, VectorRunStats* vstats);
 
 }  // namespace mapinv

@@ -86,7 +86,7 @@ printf '{ S(1,2,3) }\n' > "$tmp/wrong_schema.inst"
 printf 'not a snapshot\n' > "$tmp/garbage.snap"
 expect 1 "bad value"               -- --memory-budget-bytes=abc invert gen:copy:1,1
 expect 1 "bad value"               -- --memory-budget-bytes=-1 invert gen:copy:1,1
-expect 1 "bad value"               -- --vector-max-plan-steps=abc invert gen:copy:1,1
+expect 1 "unknown flag '--vector-max-plan-steps'" -- --vector-max-plan-steps=8 invert gen:copy:1,1
 expect 1 "expects a file path"     -- --save-instance= invert gen:copy:1,1
 expect 1 "expects a file path"     -- --load-instance= invert gen:copy:1,1
 expect 2 "cannot open snapshot"    -- --load-instance="$tmp/no_such.snap" exchange gen:copy:1,1

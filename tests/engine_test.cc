@@ -292,9 +292,9 @@ TEST(ParallelChaseTest, CollectTriggersPreservesForEachHomOrder) {
                   .ok());
   ASSERT_FALSE(sequential.empty());
 
-  // The order must survive every execution shape: scalar and vectorized,
-  // single- and multi-threaded, and batch sizes that straddle block
-  // boundaries.
+  // The order must survive every execution shape: one-row blocks (batch 0)
+  // and batch sizes that straddle block boundaries, single- and
+  // multi-threaded.
   for (int threads : {1, 4}) {
     for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
       ExecutionOptions options;
@@ -751,9 +751,9 @@ TEST(TraceTest, StatsKeysRenderInWireOrder) {
       "\"vector_blocks_scanned\":11,\"vector_rows_scanned\":12,"
       "\"vector_rows_selected\":13,\"bulk_rows_appended\":14,"
       "\"worlds_forked\":15,\"segments_spilled\":16,\"segments_faulted\":17,"
-      "\"arena_resident_bytes\":18,\"vector_plan_fallbacks\":19,"
-      "\"segment_faultin_retries\":20,\"jobs_checkpointed\":21,"
-      "\"worlds_resumed\":22,\"checkpoint_bytes\":23,\"partial\":true}";
+      "\"arena_resident_bytes\":18,\"segment_faultin_retries\":19,"
+      "\"jobs_checkpointed\":20,\"worlds_resumed\":21,"
+      "\"checkpoint_bytes\":22,\"partial\":true}";
 
   ExecStats stats;
   Tracer tracer;
@@ -776,11 +776,10 @@ TEST(TraceTest, StatsKeysRenderInWireOrder) {
   stats.segments_spilled = 16;
   stats.segments_faulted = 17;
   stats.arena_resident_bytes = 18;
-  stats.vector_plan_fallbacks = 19;
-  stats.segment_faultin_retries = 20;
-  stats.jobs_checkpointed = 21;
-  stats.worlds_resumed = 22;
-  stats.checkpoint_bytes = 23;
+  stats.segment_faultin_retries = 19;
+  stats.jobs_checkpointed = 20;
+  stats.worlds_resumed = 21;
+  stats.checkpoint_bytes = 22;
   stats.partial = true;
   tracer.End();
 
@@ -879,6 +878,32 @@ TEST(EngineRequestTest, RoundTripWorldsUseThePrintedTarget) {
   };
   walk(tracer.root());
   EXPECT_EQ(parents, std::vector<std::string>{"round_trip"});
+}
+
+// A 0-ary atom, as a premise atom in either position or as a fact of an
+// instance-as-query search, answers like any other atom.
+TEST(EngineRequestTest, NullaryAtomsAnswer) {
+  struct Case {
+    const char* command;
+    const char* mapping;
+    const char* instance;
+    const char* result;
+  };
+  for (const Case& c :
+       {Case{"exchange", "R(x), Z() -> T(x)", "{ R(1), Z() }", "{ T(1) }\n"},
+        Case{"exchange", "Z(), R(x) -> T(x)", "{ R(1), Z() }", "{ T(1) }\n"},
+        Case{"core", "", "{ Z(), T(_N0,1), T(1,1) }",
+             "{ T(1,1), Z() }\n"}}) {
+    EngineRequest request;
+    request.command = c.command;
+    request.mapping = c.mapping;
+    request.instance = c.instance;
+    EngineResponse response = ExecuteRequest(request, {});
+    ASSERT_TRUE(response.status.ok())
+        << c.command << " " << c.mapping << ": "
+        << response.status.ToString();
+    EXPECT_EQ(response.result, c.result) << c.command << " " << c.mapping;
+  }
 }
 
 // Fresh variables are numbered past the ordinals of variables the input

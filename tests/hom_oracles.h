@@ -1,14 +1,18 @@
 // The reference homomorphism search the compiled join plans are checked
 // against: the pre-plan interpreter, which re-picks the most-bound
 // unprocessed atom at every step and reads the instance only through its
-// public Arena and IndexFor. And, built on it, the reference world
-// expansion the reverse chase is checked against.
+// public Arena and IndexFor. The reference trigger collection the block
+// executor is checked against: one tuple-at-a-time plan run per candidate
+// row. And the reference world expansion the reverse chase is checked
+// against.
 
 #ifndef MAPINV_TESTS_HOM_ORACLES_H_
 #define MAPINV_TESTS_HOM_ORACLES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "engine/execution_options.h"
 #include "engine/parallel_chase.h"
 #include "eval/hom.h"
+#include "eval/hom_plan.h"
 #include "logic/mapping.h"
 
 namespace mapinv {
@@ -179,6 +184,98 @@ inline Status ReferenceForEachHom(
 
   recurse();
   return Status::OK();
+}
+
+/// Binds `atom`'s terms against `tuple` into `out` (starting empty), applying
+/// the eager checks ForEachHom performs: constants must match, repeated
+/// variables must agree, constant-constrained variables reject nulls, and
+/// fully bound inequalities must hold. Returns false if the tuple is not a
+/// match for the atom.
+inline bool ReferenceBindCandidate(const Atom& atom, RowView tuple,
+                                   const HomConstraints& constraints,
+                                   Assignment* out) {
+  for (size_t p = 0; p < atom.terms.size(); ++p) {
+    const Term& t = atom.terms[p];
+    if (t.is_constant()) {
+      if (!(t.value() == tuple[p])) return false;
+    } else {
+      auto it = out->find(t.var());
+      if (it == out->end()) {
+        if (constraints.constant_vars.contains(t.var()) &&
+            !tuple[p].is_constant()) {
+          return false;
+        }
+        out->emplace(t.var(), tuple[p]);
+      } else if (!(it->second == tuple[p])) {
+        return false;
+      }
+    }
+  }
+  return ReferenceConstraintsHold(constraints, *out);
+}
+
+/// CollectTriggers' contract with no chunks and no blocks: the same trigger
+/// rows in the same order. The pinned atom is the plan compiler's first step
+/// under the empty assignment (most constant terms, ties to the smaller
+/// relation, then to the earlier atom); each of its relation's rows, in
+/// insertion order, is bound by ReferenceBindCandidate and extended by one
+/// tuple-at-a-time run (ForEachHomWithPlan) of the remaining-premise plan.
+inline Result<TriggerBatch> ReferenceCollectTriggers(
+    const HomSearch& search, const Instance& instance,
+    const std::vector<Atom>& premise, const HomConstraints& constraints) {
+  MAPINV_RETURN_NOT_OK(search.Prewarm(premise));
+  TriggerBatch batch;
+  batch.vars = CollectDistinctVars(premise);
+  std::sort(batch.vars.begin(), batch.vars.end());
+  if (premise.empty()) {
+    batch.rows = 1;
+    return batch;
+  }
+  size_t pin = 0;
+  int best_bound = -1;
+  size_t best_rows = 0;
+  for (size_t i = 0; i < premise.size(); ++i) {
+    int bound = 0;
+    for (const Term& t : premise[i].terms) bound += t.is_constant() ? 1 : 0;
+    MAPINV_ASSIGN_OR_RETURN(
+        RelationId id,
+        instance.schema().Require(RelationText(premise[i].relation)));
+    const size_t rows = instance.NumRows(id);
+    if (bound > best_bound || (bound == best_bound && rows < best_rows)) {
+      best_bound = bound;
+      best_rows = rows;
+      pin = i;
+    }
+  }
+  std::vector<Atom> remaining;
+  std::vector<VarId> pinned_vars;
+  for (size_t i = 0; i < premise.size(); ++i) {
+    if (i != pin) remaining.push_back(premise[i]);
+  }
+  for (const Term& t : premise[pin].terms) {
+    if (t.is_variable()) pinned_vars.push_back(t.var());
+  }
+  MAPINV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const HomPlan> plan,
+      search.GetPlanForVars(remaining, constraints, pinned_vars));
+  MAPINV_ASSIGN_OR_RETURN(
+      RelationId rel,
+      instance.schema().Require(RelationText(premise[pin].relation)));
+  for (size_t i = 0; i < instance.NumRows(rel); ++i) {
+    Assignment bindings;
+    if (!ReferenceBindCandidate(premise[pin],
+                                instance.Row(rel, static_cast<TupleRef>(i)),
+                                constraints, &bindings)) {
+      continue;
+    }
+    MAPINV_RETURN_NOT_OK(search.ForEachHomWithPlan(
+        *plan, bindings, [&](const Assignment& h) {
+          for (VarId v : batch.vars) batch.values.push_back(h.at(v));
+          ++batch.rows;
+          return true;
+        }));
+  }
+  return batch;
 }
 
 /// What ReferenceReverseWorlds returns: the worlds, and the counts the

@@ -277,26 +277,23 @@ TEST(HomPlanTest, PlanIsCachedAndCountersFlow) {
                                 [](const Assignment&) { return true; })
                     .ok());
   }
-  // One compilation, three searches; the (default) vectorized executor
-  // reports its inner-loop work through the vector_* counters.
+  // One compilation, three searches. Searches run the scalar plan runner,
+  // which books its inner-loop work per candidate and none of it under the
+  // block executor's vector_* counters.
   EXPECT_EQ(stats.hom_plans_compiled.load(), 1u);
   EXPECT_EQ(stats.hom_searches.load(), 3u);
-  EXPECT_GT(stats.vector_blocks_scanned.load(), 0u);
-  EXPECT_GT(stats.vector_rows_scanned.load(), 0u);
-  EXPECT_GT(stats.vector_rows_selected.load(), 0u);
+  EXPECT_EQ(stats.hom_bucket_candidates.load(), 6u);  // 1 R + 1 S, 3 times
+  EXPECT_EQ(stats.hom_slot_bindings.load(), 9u);      // x, y, z, 3 times
+  EXPECT_EQ(stats.hom_backtracks.load(), 0u);
+  EXPECT_EQ(stats.vector_blocks_scanned.load(), 0u);
+  EXPECT_EQ(stats.vector_rows_scanned.load(), 0u);
+  EXPECT_EQ(stats.vector_rows_selected.load(), 0u);
 
-  // The scalar executor (vector_batch == 0) books the classic per-candidate
-  // counters instead, against the same cached plan.
-  search.set_vector_batch(0);
-  ASSERT_TRUE(search
-                  .ForEachHom(atoms, HomConstraints{}, Assignment{},
-                              [](const Assignment&) { return true; })
-                  .ok());
-  search.set_vector_batch(1024);
+  // An existence probe runs the same runner against the same cached plan.
+  ASSERT_TRUE(search.ExistsHom(atoms, HomConstraints{}).ValueOrDie());
   EXPECT_EQ(stats.hom_plans_compiled.load(), 1u);
   EXPECT_EQ(stats.hom_searches.load(), 4u);
-  EXPECT_GT(stats.hom_bucket_candidates.load(), 0u);
-  EXPECT_GT(stats.hom_slot_bindings.load(), 0u);
+  EXPECT_EQ(stats.hom_bucket_candidates.load(), 8u);
 
   // A different bound-variable set is a different plan.
   Assignment fixed;

@@ -376,8 +376,8 @@ TEST_F(FailPointSweep, EverySiteFailsCleanAndLeavesInputsUntouched) {
 TEST(CancelTest, PreCancelledTokenStopsTheChase) {
   TgdMapping mapping = ParseTgdMapping("R(x,y) -> S(x,y)").ValueOrDie();
   Instance source = GenerateInstance(*mapping.source, 20, 10, 5);
-  // Every execution shape polls the token: the scalar path per candidate,
-  // the vectorized paths per block (collection) and per batch (fire).
+  // Every execution shape polls the token: trigger collection per block
+  // (one-row blocks at batch 0), the fire loop per batch or per trigger.
   for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
     CancelToken token;
     token.Cancel();

@@ -1,10 +1,12 @@
-// Differential tests for the vectorized batch executor and the bulk fire
-// path: over every generator family, random shapes, batch sizes that
-// straddle block boundaries, and thread counts, the vectorized engine must
-// produce the exact hom enumeration order and bit-identical chase outputs
-// of the scalar tuple-at-a-time path it replaced — including fresh-null
-// labels, provenance, and delta/reverse/SO surfaces. Plus unit tests for
-// the bulk storage primitives (Instance::AddRows / Reserve).
+// Differential tests for the block executor behind trigger collection and
+// the bulk fire path: over every generator family, random shapes, batch
+// sizes that straddle block boundaries, and thread counts, trigger
+// collection must produce the exact enumeration order of the per-candidate
+// collection oracle (ReferenceCollectTriggers) and of ForEachHom, and the
+// chase bit-identical outputs at every batch size, one-row blocks with
+// per-trigger firing (vector_batch = 0) included — fresh-null labels,
+// provenance, and delta/reverse/SO surfaces too. Plus unit tests for the
+// bulk storage primitives (Instance::AddRows / Reserve).
 
 #include <cstddef>
 #include <string>
@@ -21,7 +23,8 @@
 #include "engine/execution_options.h"
 #include "engine/parallel_chase.h"
 #include "eval/hom.h"
-#include "eval/vector_plan.h"
+#include "eval/instance_core.h"
+#include "hom_oracles.h"
 #include "inversion/cq_maximum_recovery.h"
 #include "mapgen/generators.h"
 #include "parser/parser.h"
@@ -45,29 +48,87 @@ std::vector<TgdMapping> FamilyMappings() {
   return out;
 }
 
+// One homomorphism rendered as "v=value;" items in ascending VarId order.
+std::string RenderHom(const std::vector<std::pair<VarId, Value>>& items) {
+  std::string s;
+  for (const auto& [v, val] : items) {
+    s += std::to_string(v) + "=" + val.ToString() + ";";
+  }
+  return s;
+}
+
 // Renders an ordered hom enumeration; order matters (the chase's null
 // labelling depends on it), so no sorting here.
 std::vector<std::string> OrderedHoms(const HomSearch& search,
                                      const std::vector<Atom>& atoms) {
   std::vector<std::string> out;
-  Status status = search.ForEachHom(atoms, HomConstraints{}, Assignment{},
-                                    [&](const Assignment& h) {
-                                      std::vector<std::pair<VarId, std::string>>
-                                          items;
-                                      for (const auto& [v, val] : h) {
-                                        items.emplace_back(v, val.ToString());
-                                      }
-                                      std::sort(items.begin(), items.end());
-                                      std::string s;
-                                      for (const auto& [v, val] : items) {
-                                        s += std::to_string(v) + "=" + val +
-                                             ";";
-                                      }
-                                      out.push_back(std::move(s));
-                                      return true;
-                                    });
+  Status status = search.ForEachHom(
+      atoms, HomConstraints{}, Assignment{}, [&](const Assignment& h) {
+        std::vector<std::pair<VarId, Value>> items(h.begin(), h.end());
+        std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+          return a.first < b.first;
+        });
+        out.push_back(RenderHom(items));
+        return true;
+      });
   EXPECT_TRUE(status.ok()) << status.ToString();
   return out;
+}
+
+// Renders a trigger batch row by row, in OrderedHoms' format.
+std::vector<std::string> TriggerRows(const Result<TriggerBatch>& batch) {
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  std::vector<std::string> out;
+  if (!batch.ok()) return out;
+  for (size_t i = 0; i < batch->rows; ++i) {
+    std::vector<std::pair<VarId, Value>> items;
+    for (size_t j = 0; j < batch->vars.size(); ++j) {
+      items.emplace_back(batch->vars[j], batch->Row(i)[j]);
+    }
+    out.push_back(RenderHom(items));
+  }
+  return out;
+}
+
+// CollectTriggers' rows for `premise` at one execution shape.
+std::vector<std::string> CollectedRows(const HomSearch& search,
+                                       const Instance& inst,
+                                       const std::vector<Atom>& premise,
+                                       size_t batch, int threads,
+                                       ExecStats* stats = nullptr) {
+  ExecutionOptions options;
+  options.vector_batch = batch;
+  options.threads = threads;
+  options.stats = stats;
+  const ExecDeadline deadline(0);
+  return TriggerRows(CollectTriggers(search, inst, premise, HomConstraints{},
+                                     options, deadline));
+}
+
+// The collection oracle's rows for `premise`.
+std::vector<std::string> OracleRows(const HomSearch& search,
+                                    const Instance& inst,
+                                    const std::vector<Atom>& premise) {
+  return TriggerRows(
+      ReferenceCollectTriggers(search, inst, premise, HomConstraints{}));
+}
+
+// ForEachHom, and CollectTriggers at every batch size and thread count,
+// enumerate `premise`'s homomorphisms in exactly the oracle's order.
+// Returns the oracle's rows.
+std::vector<std::string> ExpectOracleOrder(const Instance& inst,
+                                           const std::vector<Atom>& premise,
+                                           const std::string& where) {
+  HomSearch search(inst);
+  const std::vector<std::string> oracle = OracleRows(search, inst, premise);
+  EXPECT_EQ(OrderedHoms(search, premise), oracle) << where;
+  for (int threads : {1, 4}) {
+    for (size_t batch : kBatches) {
+      EXPECT_EQ(CollectedRows(search, inst, premise, batch, threads), oracle)
+          << where << " batch=" << batch << " threads=" << threads;
+    }
+  }
+  return oracle;
 }
 
 TEST(VectorPlanDifferentialTest, HomOrderMatchesScalarAcrossFamilies) {
@@ -75,16 +136,8 @@ TEST(VectorPlanDifferentialTest, HomOrderMatchesScalarAcrossFamilies) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       Instance inst = GenerateInstance(*mapping.source, /*tuples=*/12,
                                        /*domain=*/6, seed);
-      HomSearch search(inst);
       for (const Tgd& tgd : mapping.tgds) {
-        search.set_vector_batch(0);  // scalar oracle
-        const std::vector<std::string> scalar =
-            OrderedHoms(search, tgd.premise);
-        for (size_t batch : kBatches) {
-          search.set_vector_batch(batch);
-          EXPECT_EQ(OrderedHoms(search, tgd.premise), scalar)
-              << "seed=" << seed << " batch=" << batch;
-        }
+        ExpectOracleOrder(inst, tgd.premise, "seed=" + std::to_string(seed));
       }
     }
   }
@@ -102,15 +155,8 @@ TEST(VectorPlanDifferentialTest, HomOrderMatchesScalarOnRandomShapes) {
     TgdMapping mapping = GenerateRandomMapping(config);
     Instance inst = GenerateInstance(*mapping.source, /*tuples=*/30,
                                      /*domain=*/5, seed * 11 + 2);
-    HomSearch search(inst);
     for (const Tgd& tgd : mapping.tgds) {
-      search.set_vector_batch(0);
-      const std::vector<std::string> scalar = OrderedHoms(search, tgd.premise);
-      for (size_t batch : kBatches) {
-        search.set_vector_batch(batch);
-        EXPECT_EQ(OrderedHoms(search, tgd.premise), scalar)
-            << "seed=" << seed << " batch=" << batch;
-      }
+      ExpectOracleOrder(inst, tgd.premise, "seed=" + std::to_string(seed));
     }
   }
 }
@@ -333,11 +379,7 @@ TEST(VectorPlanTest, EmptyRelationYieldsNoHomsAndEmptyChase) {
   TgdMapping mapping =
       ParseTgdMapping("R(x,y), S(y,z) -> T(x,z)").ValueOrDie();
   Instance source{mapping.source};  // every relation empty
-  HomSearch search(source);
-  for (size_t batch : kBatches) {
-    search.set_vector_batch(batch);
-    EXPECT_TRUE(OrderedHoms(search, mapping.tgds[0].premise).empty());
-  }
+  EXPECT_TRUE(ExpectOracleOrder(source, mapping.tgds[0].premise, "").empty());
   Instance target = ChaseTgds(mapping, source, {}).ValueOrDie();
   EXPECT_EQ(target.ToString(), "{  }");
 }
@@ -349,12 +391,8 @@ TEST(VectorPlanTest, AllFilteredBlocksProduceNothing) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(inst.AddInts("R", {i, i + 1}).ok());
   }
-  HomSearch search(inst);
   const std::vector<Atom> premise = {Atom::Vars("R", {"x", "x"})};
-  for (size_t batch : kBatches) {
-    search.set_vector_batch(batch);
-    EXPECT_TRUE(OrderedHoms(search, premise).empty()) << "batch=" << batch;
-  }
+  EXPECT_TRUE(ExpectOracleOrder(inst, premise, "").empty());
 }
 
 TEST(VectorPlanTest, BatchBoundaryStraddlingMatchesScalar) {
@@ -367,69 +405,140 @@ TEST(VectorPlanTest, BatchBoundaryStraddlingMatchesScalar) {
   for (int i = 0; i < 13; ++i) {
     ASSERT_TRUE(inst.AddInts("S", {i, i + 1}).ok());
   }
-  HomSearch search(inst);
   const std::vector<Atom> premise = {Atom::Vars("R", {"x", "y"}),
                                      Atom::Vars("S", {"x", "z"})};
-  search.set_vector_batch(0);
-  const std::vector<std::string> scalar = OrderedHoms(search, premise);
-  ASSERT_EQ(scalar.size(), 1030u);
-  for (size_t batch : kBatches) {
-    search.set_vector_batch(batch);
-    EXPECT_EQ(OrderedHoms(search, premise), scalar) << "batch=" << batch;
-  }
+  EXPECT_EQ(ExpectOracleOrder(inst, premise, "").size(), 1030u);
 }
 
 TEST(VectorPlanTest, VectorCountersFlowAndScalarCountersStayQuiet) {
+  // Trigger collection books its work under the vector_* counters at every
+  // batch size, one-row blocks included, and none under the scalar runner's
+  // per-candidate counters; a search books the other way round.
   TgdMapping mapping =
       ParseTgdMapping("R(x,y), S(y,z) -> T(x,z)").ValueOrDie();
   Instance source = GenerateInstance(*mapping.source, /*tuples=*/50,
                                      /*domain=*/8, 3);
-  ExecStats stats;
-  ExecutionOptions options;
-  options.stats = &stats;
-  ASSERT_TRUE(ChaseTgds(mapping, source, options).ok());
-  EXPECT_GT(stats.vector_blocks_scanned.load(), 0u);
-  EXPECT_GT(stats.vector_rows_scanned.load(), 0u);
-  EXPECT_GT(stats.vector_rows_selected.load(), 0u);
-  EXPECT_GT(stats.bulk_rows_appended.load(), 0u);
-  // The scalar inner-loop counters belong to the scalar path.
-  EXPECT_EQ(stats.hom_bucket_candidates.load(), 0u);
-  EXPECT_EQ(stats.hom_slot_bindings.load(), 0u);
+  const std::vector<Atom>& premise = mapping.tgds[0].premise;
+  HomSearch search(source);
+  for (size_t batch : {size_t{0}, size_t{1024}}) {
+    ExecStats stats;
+    EXPECT_FALSE(CollectedRows(search, source, premise, batch, 1, &stats)
+                     .empty());
+    EXPECT_GT(stats.vector_blocks_scanned.load(), 0u) << "batch=" << batch;
+    EXPECT_GT(stats.vector_rows_scanned.load(), 0u) << "batch=" << batch;
+    EXPECT_GT(stats.vector_rows_selected.load(), 0u) << "batch=" << batch;
+    EXPECT_EQ(stats.hom_bucket_candidates.load(), 0u) << "batch=" << batch;
+    EXPECT_EQ(stats.hom_slot_bindings.load(), 0u) << "batch=" << batch;
+  }
+  ExecStats search_stats;
+  search.set_stats(&search_stats);
+  EXPECT_FALSE(OrderedHoms(search, premise).empty());
+  EXPECT_GT(search_stats.hom_bucket_candidates.load(), 0u);
+  EXPECT_GT(search_stats.hom_slot_bindings.load(), 0u);
+  EXPECT_EQ(search_stats.vector_blocks_scanned.load(), 0u);
+  EXPECT_EQ(search_stats.vector_rows_scanned.load(), 0u);
 
-  ExecStats scalar_stats;
-  options.stats = &scalar_stats;
-  options.vector_batch = 0;
-  ASSERT_TRUE(ChaseTgds(mapping, source, options).ok());
-  EXPECT_EQ(scalar_stats.vector_blocks_scanned.load(), 0u);
-  EXPECT_EQ(scalar_stats.bulk_rows_appended.load(), 0u);
-  EXPECT_GT(scalar_stats.hom_bucket_candidates.load(), 0u);
+  // The chase: batched firing appends in bulk, where dedup subsumes the
+  // satisfaction probes; batch 0 fires trigger by trigger, and each
+  // trigger's probe runs the scalar runner.
+  for (size_t batch : {size_t{0}, size_t{1024}}) {
+    ExecStats stats;
+    ExecutionOptions options;
+    options.stats = &stats;
+    options.vector_batch = batch;
+    ASSERT_TRUE(ChaseTgds(mapping, source, options).ok());
+    EXPECT_GT(stats.vector_blocks_scanned.load(), 0u) << "batch=" << batch;
+    EXPECT_EQ(stats.bulk_rows_appended.load() > 0, batch > 0)
+        << "batch=" << batch;
+    EXPECT_EQ(stats.hom_bucket_candidates.load() > 0, batch == 0)
+        << "batch=" << batch;
+  }
 }
 
-TEST(VectorPlanTest, WidePlansRouteToTheScalarExecutor) {
-  // Plans wider than kVectorMaxPlanSteps (instance-as-query searches like
-  // core folding) must run scalar even with vectorized execution on: batch
-  // setup is per-step and the first match lands only after cascading through
-  // every level, which turns early-stopped existence probes pathological.
-  Instance inst(Schema{{"R", 2}});
-  ASSERT_TRUE(inst.AddInts("R", {0, 0}).ok());  // self-loop: one hom exists
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(inst.AddInts("R", {i, i + 1}).ok());
-  }
+// A chain of `atoms` R-atoms: R(x0,x1), R(x1,x2), ...
+std::vector<Atom> RChain(int atoms) {
   std::vector<Atom> chain;
-  for (int i = 0; i <= static_cast<int>(kVectorMaxPlanSteps); ++i) {
+  for (int i = 0; i < atoms; ++i) {
     chain.push_back(Atom::Vars(
         "R", {"x" + std::to_string(i), "x" + std::to_string(i + 1)}));
   }
+  return chain;
+}
+
+TEST(VectorPlanTest, WidePlansRouteToTheScalarExecutor) {
+  // Executors are chosen by call site, not by plan width. A wide search
+  // (instance-as-query searches like core folding) runs the scalar runner;
+  // a wide premise scan runs the block executor, at every batch size and
+  // thread count.
+  Instance inst(Schema{{"R", 2}});
+  ASSERT_TRUE(inst.AddInts("R", {0, 0}).ok());  // self-loop: homs exist
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(inst.AddInts("R", {i, i + 1}).ok());
+  }
   HomSearch search(inst);
-  search.set_vector_batch(0);
-  const std::vector<std::string> scalar = OrderedHoms(search, chain);
-  ASSERT_FALSE(scalar.empty());
-  search.set_vector_batch(1024);
   ExecStats stats;
   search.set_stats(&stats);
-  EXPECT_EQ(OrderedHoms(search, chain), scalar);
-  EXPECT_EQ(stats.vector_blocks_scanned.load(), 0u) << "wide plan vectorized";
+  const std::vector<Atom> search_chain = RChain(33);  // a 33-step plan
+  EXPECT_EQ(search.GetPlan(search_chain, HomConstraints{})
+                .ValueOrDie()
+                ->steps.size(),
+            33u);
+  EXPECT_FALSE(OrderedHoms(search, search_chain).empty());
   EXPECT_GT(stats.hom_bucket_candidates.load(), 0u);
+  EXPECT_EQ(stats.vector_blocks_scanned.load(), 0u) << "wide search batched";
+  EXPECT_EQ(stats.vector_rows_scanned.load(), 0u);
+  EXPECT_EQ(stats.vector_rows_selected.load(), 0u);
+
+  // 34 premise atoms: one pinned, a 33-step remaining-premise plan.
+  const std::vector<Atom> premise = RChain(34);
+  const std::vector<std::string> oracle = OracleRows(search, inst, premise);
+  EXPECT_EQ(oracle.size(), 11u);  // 0^a then a climb of b <= 10 steps
+  for (int threads : {1, 4}) {
+    for (size_t batch : kBatches) {
+      ExecStats collect_stats;
+      EXPECT_EQ(
+          CollectedRows(search, inst, premise, batch, threads, &collect_stats),
+          oracle)
+          << "batch=" << batch << " threads=" << threads;
+      EXPECT_GT(collect_stats.vector_blocks_scanned.load(), 0u);
+      EXPECT_EQ(collect_stats.hom_bucket_candidates.load(), 0u);
+    }
+  }
+}
+
+// A 0-ary premise atom, in either position, over a store that holds its
+// fact and one that does not: every batch size and thread count chases the
+// same instance.
+TEST(VectorPlanTest, NullaryPremiseAtomChasesAtEveryShape) {
+  for (const char* text : {"R(x), Z() -> T(x)", "Z(), R(x) -> T(x)"}) {
+    TgdMapping mapping = ParseTgdMapping(text).ValueOrDie();
+    for (const char* input : {"{ R(1), Z() }", "{ R(1), R(2) }"}) {
+      Instance source = ParseInstance(input, *mapping.source).ValueOrDie();
+      const std::string want =
+          std::string(input) == "{ R(1), Z() }" ? "{ T(1) }" : "{  }";
+      for (int threads : {1, 4}) {
+        for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
+          for (bool oblivious : {false, true}) {
+            ExecutionOptions options;
+            options.threads = threads;
+            options.vector_batch = batch;
+            options.oblivious = oblivious;
+            Result<Instance> target = ChaseTgds(mapping, source, options);
+            ASSERT_TRUE(target.ok()) << target.status().ToString();
+            EXPECT_EQ(target->ToString(), want)
+                << text << " over " << input << " batch=" << batch
+                << " threads=" << threads << " oblivious=" << oblivious;
+          }
+        }
+      }
+      ExpectOracleOrder(source, mapping.tgds[0].premise,
+                        std::string(text) + " over " + input);
+    }
+  }
+  // A search whose query holds the 0-ary fact: the core keeps it.
+  Instance inst =
+      ParseInstanceInferSchema("{ Z(), T(_N0,1), T(1,1) }").ValueOrDie();
+  EXPECT_EQ(CoreOfInstance(inst).ValueOrDie().ToString(), "{ T(1,1), Z() }");
 }
 
 // ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@
 //                      resident tuple payload (0 = unlimited, the default)
 //   --spill-dir=PATH   directory for the (unlinked) spill file; empty uses
 //                      the system temp directory
-//   --vector-max-plan-steps=N     vectorized-executor plan-size ceiling;
-//                      longer plans fall back to the scalar path (0 forces
-//                      scalar everywhere)
 //   --checkpoint-dir=PATH         make world enumeration (roundtrip) a
 //                      durable job: commit the frontier to PATH so a killed
 //                      run can be resumed (docs/JOBS.md)
@@ -123,8 +120,7 @@ int Usage() {
                "       --on-exhausted=fail|partial --cancel-after-ms=N\n"
                "       --stats --stats-json --trace --trace-json\n"
                "       --response-json --dump-request\n"
-               "       --memory-budget-bytes=N --spill-dir=PATH "
-               "--vector-max-plan-steps=N\n"
+               "       --memory-budget-bytes=N --spill-dir=PATH\n"
                "       --checkpoint-dir=PATH --checkpoint-every=N --resume\n"
                "       --save-instance=PATH --load-instance=PATH\n");
   return 1;
@@ -221,9 +217,9 @@ bool ParseFlags(int argc, char** argv, RequestOptions* options,
         name == "--max-disjuncts" || name == "--threads" ||
         name == "--deadline-ms" || name == "--cancel-after-ms" ||
         name == "--on-exhausted" || name == "--memory-budget-bytes" ||
-        name == "--spill-dir" || name == "--vector-max-plan-steps" ||
-        name == "--checkpoint-dir" || name == "--checkpoint-every" ||
-        name == "--save-instance" || name == "--load-instance";
+        name == "--spill-dir" || name == "--checkpoint-dir" ||
+        name == "--checkpoint-every" || name == "--save-instance" ||
+        name == "--load-instance";
     if (!known) {
       return FlagError("unknown flag '" + name + "'");
     }
@@ -288,8 +284,6 @@ bool ParseFlags(int argc, char** argv, RequestOptions* options,
       output->cancel_after_ms = static_cast<int64_t>(n);
     } else if (name == "--memory-budget-bytes") {
       options->memory_budget_bytes = n;
-    } else if (name == "--vector-max-plan-steps") {
-      options->vector_max_plan_steps = n;
     } else if (name == "--checkpoint-every") {
       options->checkpoint_every = n;
     }
