@@ -9,6 +9,7 @@
 // `delta_rows`/`fired` pin what the incremental run actually did.
 
 #include <algorithm>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -103,9 +104,52 @@ void BM_MaintainedSolution_AppendRefresh(benchmark::State& state) {
       static_cast<double>(maintained.CountersSnapshot().refreshes);
 }
 
+// One session write cycle, as mapinv_serve runs an append to a registered
+// instance that by-ref requests also read: append a few rows, refresh and
+// render, keep the source snapshot the session registers
+// (Session::SyncRegisteredSource), and chase over that snapshot as a by-ref
+// read does (untimed). The snapshot shares every store with the maintained
+// source and carries the index the chase built, so each write clones the
+// stores it touches, dedup table and index included: the clone that
+// BM_MaintainedSolution_AppendRefresh, whose source is never shared, skips.
+void BM_MaintainedSolution_SessionWrite(benchmark::State& state) {
+  auto mapping =
+      std::make_shared<TgdMapping>(ChainJoinMapping(kChainLength));
+  const int tuples = static_cast<int>(state.range(0));
+  MaintainedSolution maintained(mapping);
+  Instance base = GenerateInstance(*mapping->source, tuples, tuples / 4 + 2, 23);
+  (void)maintained.AppendInstance(base).ValueOrDie();
+  (void)maintained.RefreshAndRender({}).ValueOrDie();
+  Instance registered = maintained.SourceSnapshot();
+  (void)ChaseTgds(*mapping, registered).ValueOrDie();
+  int next = 1000000;  // appended values outside the generated domain
+  for (auto _ : state) {
+    // Four rows, one per chain relation plus one more, that join into one
+    // new target fact.
+    const std::string a = std::to_string(next), b = std::to_string(next + 1),
+                      c = std::to_string(next + 2), d = std::to_string(next + 3);
+    next += 4;
+    const std::string rows = "{ R0(" + a + "," + b + "), R1(" + b + "," + c +
+                             "), R2(" + c + "," + d + "), R0(" + d + "," + a +
+                             ") }";
+    (void)maintained.AppendText(rows).ValueOrDie();
+    std::string rendered = maintained.RefreshAndRender({}).ValueOrDie();
+    benchmark::DoNotOptimize(rendered);
+    registered = maintained.SourceSnapshot();
+    state.PauseTiming();
+    Instance target = ChaseTgds(*mapping, registered).ValueOrDie();
+    benchmark::DoNotOptimize(target);
+    state.ResumeTiming();
+  }
+  state.counters["tuples_in"] = static_cast<double>(tuples);
+  state.counters["source_rows"] =
+      static_cast<double>(registered.TotalSize());
+}
+
 BENCHMARK(BM_ChaseDelta_Absorb)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_ChaseDelta_FullRechase)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_MaintainedSolution_AppendRefresh)->Arg(256)->Arg(1024);
+BENCHMARK(BM_MaintainedSolution_SessionWrite)->Arg(1024)->Arg(4096);
 
 }  // namespace
 }  // namespace mapinv

@@ -1,6 +1,7 @@
 #include "data/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 #include <utility>
 
@@ -26,6 +27,18 @@ bool RowEquals(const Value* a, const Value* b, uint32_t arity) {
   return true;
 }
 
+// The dedup table's hash of a row: the top 32 bits of HashRow times the
+// 64-bit golden ratio, so probing from its low bits mixes in every input bit.
+uint32_t DedupHash(const Value* row, uint32_t arity) {
+  return static_cast<uint32_t>(
+      (HashRow(RowView(row, arity)) * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+// Smallest non-empty table sizes: tiny instances (canonical instances of
+// containment checks, one-fact worlds) stay at one cache line per table.
+constexpr size_t kMinDedupSlots = 8;
+constexpr size_t kMinIndexEntries = 4;
+
 // Appends one row to the (writable, capacity-ensured) tail segment. The
 // base pointer is refreshed unconditionally: insert only reallocates when a
 // caller skipped WritableTail's reserve, but the relaxed store is free.
@@ -50,6 +63,80 @@ Segment* const* NullarySegments() {
 }
 
 }  // namespace
+
+size_t PositionIndex::FindSlot(Value v) const {
+  const size_t mask = entries_.size() - 1;
+  size_t i = Slot(v) & mask;
+  while (entries_[i].length != 0 && entries_[i].value != v) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void PositionIndex::Rehash(size_t size) {
+  std::vector<Entry> old = std::move(entries_);
+  entries_.assign(size, Entry{});
+  for (const Entry& e : old) {
+    if (e.length != 0) entries_[FindSlot(e.value)] = e;
+  }
+}
+
+void PositionIndex::Append(Value v, TupleRef ref) {
+  if (entries_.empty()) Rehash(kMinIndexEntries);
+  size_t i = FindSlot(v);
+  if (entries_[i].length == 0) {
+    // A new value: grow the table first if it would pass load 1/2.
+    if ((distinct_ + 1) * 2 > entries_.size()) {
+      Rehash(entries_.size() * 2);
+      i = FindSlot(v);
+    }
+    ++distinct_;
+    entries_[i] = Entry{v, static_cast<uint32_t>(pool_.size()), 1};
+    pool_.push_back(ref);
+    return;
+  }
+  Entry& e = entries_[i];
+  // A run's capacity is bit_ceil(length), so a power-of-two length is full.
+  if (std::has_single_bit(e.length)) {
+    const size_t end = pool_.size();
+    if (e.offset + e.length == end) {
+      pool_.resize(end + e.length);
+    } else {
+      pool_.resize(end + 2 * static_cast<size_t>(e.length));
+      std::copy_n(pool_.begin() + e.offset, e.length, pool_.begin() + end);
+      e.offset = static_cast<uint32_t>(end);
+    }
+  }
+  pool_[e.offset + e.length++] = ref;
+}
+
+void Instance::Store::ReserveDedup(size_t rows) {
+  if (rows * 2 <= dedup.size()) return;
+  std::vector<DedupSlot> old = std::move(dedup);
+  dedup.assign(std::max(kMinDedupSlots, std::bit_ceil(rows * 2)),
+               DedupSlot{});
+  for (const DedupSlot& slot : old) {
+    if (slot.ref1 != 0) InsertDedup(slot.hash, slot.ref1 - 1);
+  }
+}
+
+size_t Instance::Store::ProbeDedup(const Value* row, uint32_t hash) const {
+  const size_t mask = dedup.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const DedupSlot& slot = dedup[i];
+    if (slot.ref1 == 0) return i;
+    if (slot.hash == hash && RowEquals(RowPtr(slot.ref1 - 1), row, arity)) {
+      return i;
+    }
+  }
+}
+
+void Instance::Store::InsertDedup(uint32_t hash, TupleRef ref) {
+  const size_t mask = dedup.size() - 1;
+  size_t i = hash & mask;
+  while (dedup[i].ref1 != 0) i = (i + 1) & mask;
+  dedup[i] = DedupSlot{hash, ref + 1};
+}
 
 Instance::Store::Store(const Store& other)
     : arity(other.arity),
@@ -103,14 +190,24 @@ void Instance::EnsureDedup(Store& store) {
   size_t done = store.dedup_rows.load(std::memory_order_relaxed);
   if (done == n) return;  // raced, other thread won
   if (store.arity > 0) {
-    store.dedup.reserve(n);
+    // Sized once for the whole catch-up. Stored rows are duplicate-free, so
+    // each goes straight to an empty slot without a row comparison.
+    store.ReserveDedup(n);
     for (size_t row = done; row < n; ++row) {
-      const Value* ptr = store.RowPtr(static_cast<TupleRef>(row));
-      store.dedup.emplace(HashRow(RowView(ptr, store.arity)),
-                          static_cast<TupleRef>(row));
+      const TupleRef ref = static_cast<TupleRef>(row);
+      store.InsertDedup(DedupHash(store.RowPtr(ref), store.arity), ref);
     }
   }
   store.dedup_rows.store(n, std::memory_order_release);
+}
+
+std::optional<TupleRef> Instance::Lookup(Store& store, const Value* row,
+                                         uint32_t hash) {
+  if (store.num_rows == 0) return std::nullopt;
+  EnsureDedup(store);
+  const DedupSlot& slot = store.dedup[store.ProbeDedup(row, hash)];
+  if (slot.ref1 == 0) return std::nullopt;
+  return slot.ref1 - 1;
 }
 
 Segment& Instance::WritableTail(Store& store) {
@@ -230,15 +327,23 @@ Result<bool> Instance::AddRow(RelationId relation, RowView row) {
         std::to_string(row.size()) + ", want " +
         std::to_string(schema_->arity(relation)));
   }
-  if (ContainsRow(relation, row)) return false;
+  const uint32_t arity = schema_->arity(relation);
+  const uint32_t hash = arity > 0 ? DedupHash(row.data(), arity) : 0;
+  // Probe the store as it stands, so a duplicate never clones a shared one.
+  Store& current = *stores_[relation];
+  if (arity == 0 ? current.num_rows > 0
+                 : Lookup(current, row.data(), hash).has_value()) {
+    return false;
+  }
   MAPINV_RETURN_NOT_OK(MaybeSpill());
   Store& store = Mutable(relation);
   const TupleRef ref = static_cast<TupleRef>(store.num_rows);
-  if (store.arity > 0) {
+  if (arity > 0) {
     Segment& tail = WritableTail(store);
-    AppendRowToTail(tail, row.data(), store.arity);
+    AppendRowToTail(tail, row.data(), arity);
+    store.ReserveDedup(store.num_rows + 1);
+    store.InsertDedup(hash, ref);
   }
-  store.dedup.emplace(HashRow(row), ref);
   ++store.num_rows;
   store.dedup_rows.store(store.num_rows, std::memory_order_relaxed);
   return true;
@@ -263,36 +368,29 @@ Result<size_t> Instance::AddRows(RelationId relation, const Value* rows,
     // 0-ary relations hold at most one (empty) row; only the first insert
     // into an empty store adds anything.
     if (store.num_rows > 0) return size_t{0};
-    store.dedup.emplace(HashRow(RowView{}), TupleRef{0});
     store.num_rows = 1;
     store.dedup_rows.store(1, std::memory_order_relaxed);
     if (added != nullptr) (*added)[0] = 1;
     return size_t{1};
   }
   EnsureDedup(store);
-  store.dedup.reserve(store.num_rows + count);
+  store.ReserveDedup(store.num_rows + count);
   size_t inserted = 0;
   for (size_t i = 0; i < count; ++i) {
     const Value* row = rows + i * arity;
-    const size_t hash = HashRow(RowView(row, arity));
-    bool present = false;
+    const uint32_t hash = DedupHash(row, arity);
     // Probes see rows appended earlier in this same batch, so intra-batch
-    // duplicates dedup exactly as a per-row AddRow loop would.
-    auto [begin, end] = store.dedup.equal_range(hash);
-    for (auto it = begin; it != end; ++it) {
-      if (RowEquals(store.RowPtr(it->second), row, arity)) {
-        present = true;
-        break;
-      }
-    }
-    if (present) continue;
+    // duplicates dedup exactly as a per-row AddRow loop would. The table
+    // was sized for the whole batch, so the probed empty slot stays valid.
+    DedupSlot& slot = store.dedup[store.ProbeDedup(row, hash)];
+    if (slot.ref1 != 0) continue;
     const TupleRef ref = static_cast<TupleRef>(store.num_rows);
     // WritableTail per row: cheap branches in the common case, and it
     // transparently seals + opens segments for batches that straddle a
     // segment boundary.
     Segment& tail = WritableTail(store);
     AppendRowToTail(tail, row, arity);
-    store.dedup.emplace(hash, ref);
+    slot = DedupSlot{hash, ref + 1};
     ++store.num_rows;
     ++inserted;
     if (added != nullptr) (*added)[i] = 1;
@@ -305,8 +403,8 @@ void Instance::Reserve(RelationId relation, size_t additional_rows) {
   EnsureSlots();
   if (relation >= schema_->size() || additional_rows == 0) return;
   Store& store = Mutable(relation);
-  store.dedup.reserve(store.num_rows + additional_rows);
   if (store.arity == 0) return;
+  store.ReserveDedup(store.num_rows + additional_rows);
   // Pre-grow the tail for as many of the rows as fit in it; rows beyond the
   // segment boundary allocate fresh segments as they arrive.
   Segment& tail = WritableTail(store);
@@ -338,14 +436,8 @@ bool Instance::ContainsRow(RelationId relation, RowView row) const {
   Store& store = *stores_[relation];
   if (row.size() != store.arity) return false;
   if (store.arity == 0) return store.num_rows > 0;
-  EnsureDedup(store);
-  auto [begin, end] = store.dedup.equal_range(HashRow(row));
-  for (auto it = begin; it != end; ++it) {
-    if (RowEquals(store.RowPtr(it->second), row.data(), store.arity)) {
-      return true;
-    }
-  }
-  return false;
+  return Lookup(store, row.data(), DedupHash(row.data(), store.arity))
+      .has_value();
 }
 
 std::optional<TupleRef> Instance::FindRow(RelationId relation,
@@ -358,14 +450,7 @@ std::optional<TupleRef> Instance::FindRow(RelationId relation,
     if (store.num_rows == 0) return std::nullopt;
     return TupleRef{0};
   }
-  EnsureDedup(store);
-  auto [begin, end] = store.dedup.equal_range(HashRow(row));
-  for (auto it = begin; it != end; ++it) {
-    if (RowEquals(store.RowPtr(it->second), row.data(), store.arity)) {
-      return it->second;
-    }
-  }
-  return std::nullopt;
+  return Lookup(store, row.data(), DedupHash(row.data(), store.arity));
 }
 
 size_t Instance::NumRows(RelationId relation) const {
@@ -419,16 +504,20 @@ const RelationIndex& Instance::IndexFor(RelationId relation,
   if (store.index.positions.empty()) {
     store.index.positions.resize(store.arity);
   }
-  if (store.arity > 0) {
+  // Position by position, so each pass appends to one pair of arrays. Rows
+  // ascend and exceed every indexed ref, so each run stays ascending. A
+  // first build sizes each pool once for its rows (later catch-ups grow it
+  // geometrically).
+  const size_t added = store.num_rows - done;
+  for (uint32_t pos = 0; pos < store.arity; ++pos) {
+    PositionIndex& index = store.index.positions[pos];
+    if (done == 0) index.pool_.reserve(added);
     for (size_t row = done; row < store.num_rows; ++row) {
-      const Value* ptr = store.RowPtr(static_cast<TupleRef>(row));
-      for (uint32_t pos = 0; pos < store.arity; ++pos) {
-        store.index.positions[pos].buckets[ptr[pos]].push_back(
-            static_cast<TupleRef>(row));
-      }
+      const TupleRef ref = static_cast<TupleRef>(row);
+      index.Append(store.RowPtr(ref)[pos], ref);
     }
   }
-  if (catchup_rows != nullptr) *catchup_rows = store.num_rows - done;
+  if (catchup_rows != nullptr) *catchup_rows = added;
   store.indexed_rows.store(store.num_rows, std::memory_order_release);
   return store.index;
 }

@@ -10,10 +10,10 @@
 /// is the slice `segment[(ref & mask) * arity ..)` of segment `ref >> shift`
 /// and a full-relation scan sweeps whole segment stripes with no per-tuple
 /// heap allocation. Rows are addressed by dense `TupleRef` (uint32 row index
-/// in insertion order); deduplication hashes row contents into a multimap of
-/// row refs. Segment capacity matches the vectorized executor's default
-/// 1024-row block, so block scans tile segments exactly (see
-/// eval/vector_plan.h and docs/STORAGE.md).
+/// in insertion order); deduplication hashes row contents into a flat
+/// open-addressed table of row refs. Segment capacity matches the vectorized
+/// executor's default 1024-row block, so block scans tile segments exactly
+/// (see eval/vector_plan.h and docs/STORAGE.md).
 ///
 /// Properties the rest of the pipeline relies on:
 ///
@@ -32,7 +32,9 @@
 ///     cloned store still *shares every sealed segment* with its source —
 ///     only the partial tail is unshared, and only when actually written —
 ///     so fork-heavy worlds pay per-write tail copies, never whole-arena
-///     copies. `Fork()`/`Snapshot()` name this explicitly.
+///     copies. The dedup table and the index are flat arrays, so the clone
+///     copies a few arrays (two per indexed position), not one node per
+///     row. `Fork()`/`Snapshot()` name this explicitly.
 ///   * **Reopenable artifacts.** `Save`/`Load` persist an instance to an
 ///     mmap-able snapshot file (segment pages + interner side table; dedup
 ///     and indexes are rebuilt lazily on demand), and `SetMemoryBudget`
@@ -59,7 +61,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -112,8 +113,55 @@ struct Fact {
 
 /// \brief value-at-position → ascending row refs, for one position of one
 /// relation. Owned by the instance; see Instance::IndexFor.
-struct PositionIndex {
-  std::unordered_map<Value, std::vector<TupleRef>, ValueHash> buckets;
+///
+/// Two flat arrays. `entries_` is an open-addressed table (linear probing,
+/// power-of-two size, load <= 1/2) of {value, offset, length}; a value's
+/// bucket is the contiguous run pool_[offset, offset + length) of the one
+/// pooled ref array. A run's capacity is its length rounded up to a power
+/// of two. A full run at the pool's end grows in place; any other full run
+/// moves to the end at double capacity, leaving its old slots unused (the
+/// pool stays under 4 refs per indexed row, so 32-bit offsets hold below
+/// 2^30 rows). Indexing a row allocates nothing per row, and copying the
+/// index copies two arrays.
+class PositionIndex {
+ public:
+  /// The rows holding `v` at this position, ascending; empty when absent.
+  /// Valid until the index next catches up (Instance::IndexFor).
+  std::span<const TupleRef> Bucket(Value v) const {
+    if (entries_.empty()) return {};
+    const size_t mask = entries_.size() - 1;
+    for (size_t i = Slot(v) & mask;; i = (i + 1) & mask) {
+      const Entry& e = entries_[i];
+      if (e.length == 0) return {};
+      if (e.value == v) return {pool_.data() + e.offset, e.length};
+    }
+  }
+
+ private:
+  friend class Instance;
+
+  struct Entry {
+    Value value;
+    uint32_t offset = 0;
+    uint32_t length = 0;  ///< 0 marks an empty slot
+  };
+
+  static size_t Slot(Value v) {
+    const uint64_t x = v.bits() * 0x9e3779b97f4a7c15ULL;
+    return static_cast<size_t>(x ^ (x >> 32));
+  }
+
+  /// The slot holding `v`, else the empty slot where it would go. The
+  /// table must be non-empty.
+  size_t FindSlot(Value v) const;
+  /// Resizes the table to `size` slots (a power of two) and reinserts.
+  void Rehash(size_t size);
+  /// Appends `ref` to `v`'s bucket; `ref` exceeds every ref indexed so far.
+  void Append(Value v, TupleRef ref);
+
+  std::vector<Entry> entries_;
+  size_t distinct_ = 0;
+  std::vector<TupleRef> pool_;
 };
 
 /// \brief The per-relation value index: one PositionIndex per column.
@@ -392,10 +440,18 @@ class Instance {
   std::string ToString() const;
 
  private:
+  /// One slot of a store's dedup table: 32 mixed bits of the row's hash and
+  /// the row's ref + 1 (0 marks an empty slot).
+  struct DedupSlot {
+    uint32_t hash = 0;
+    uint32_t ref1 = 0;
+  };
+
   /// One relation's storage: segment chain + dedup table + owned index.
   /// Shared between forks via shared_ptr; cloned on first write to a shared
   /// store — and the clone still shares the (content-immutable) sealed
-  /// segments, unsharing only the tail, and only when it is written.
+  /// segments, unsharing only the tail, and only when it is written. The
+  /// clone copies the flat dedup and index arrays.
   struct Store {
     uint32_t arity = 0;
     size_t num_rows = 0;
@@ -405,10 +461,10 @@ class Instance {
     std::vector<std::shared_ptr<Segment>> segs;
     /// Flat mirror of `segs` for the one-load hot-path row accessor.
     std::vector<Segment*> seg_ptrs;
-    /// Row-content hash → row refs with that hash (duplicate-free rows, so
-    /// multi-entries only on genuine hash collisions). Covers rows
-    /// [0, dedup_rows); lazily rebuilt after Load.
-    std::unordered_multimap<size_t, TupleRef> dedup;
+    /// Open-addressed row-hash table (linear probing, power-of-two size,
+    /// load <= 1/2) over rows [0, dedup_rows); lazily rebuilt after Load.
+    /// Empty for 0-ary relations, whose one row num_rows alone records.
+    std::vector<DedupSlot> dedup;
     std::atomic<size_t> dedup_rows{0};
     /// Lazily built value index over rows [0, indexed_rows).
     RelationIndex index;
@@ -427,6 +483,15 @@ class Instance {
       if (base == nullptr) [[unlikely]] base = seg->FaultIn(arity);
       return base + static_cast<size_t>(ref & kSegmentRowMask) * arity;
     }
+
+    /// Grows the dedup table to hold `rows` rows at load <= 1/2, rehashing
+    /// from the stored hashes (no row is read). Never shrinks.
+    void ReserveDedup(size_t rows);
+    /// The slot holding the row equal to `row` (hash `hash`), else the
+    /// empty slot where it would go. The table must be non-empty.
+    size_t ProbeDedup(const Value* row, uint32_t hash) const;
+    /// Records new row `ref` (caller reserved room for it).
+    void InsertDedup(uint32_t hash, TupleRef ref);
   };
 
   std::shared_ptr<const Schema> schema_;
@@ -443,6 +508,10 @@ class Instance {
   /// Ensures the store's dedup table covers every row (lazy rebuild after
   /// Load; internally synchronised like index catch-up).
   static void EnsureDedup(Store& store);
+  /// The ref of the row equal to `row` (dedup hash `hash`) in a store of
+  /// positive arity, catching the dedup table up first.
+  static std::optional<TupleRef> Lookup(Store& store, const Value* row,
+                                        uint32_t hash);
   /// Ensures the tail segment exists, is heap-backed, is not shared with a
   /// fork, and has capacity for one more row; returns it.
   Segment& WritableTail(Store& store);

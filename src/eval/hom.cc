@@ -8,15 +8,6 @@
 
 namespace mapinv {
 
-namespace {
-
-// Smallest-bucket scans below this size are not worth intersecting with the
-// second-smallest bucket; the per-candidate slot checks are cheaper than the
-// merge.
-constexpr size_t kIntersectMinBucket = 32;
-
-}  // namespace
-
 const RelationIndex& HomSearch::IndexFor(RelationId relation) const {
   size_t catchup = 0;
   const RelationIndex& idx = instance_.IndexFor(relation, &catchup);
@@ -128,7 +119,7 @@ Status HomSearch::RunPlan(
     Instance::ArenaView view;  // segment-aware row accessor
     uint32_t arity;
     size_t rows;
-    const std::vector<PositionIndex>* positions;
+    const PositionIndex* positions;
   };
   constexpr size_t kMaxStackSteps = 16;
   constexpr size_t kMaxStackSlots = 64;
@@ -143,7 +134,7 @@ Status HomSearch::RunPlan(
   for (size_t i = 0; i < num_steps; ++i) {
     const RelationId rel = plan.steps[i].relation;
     const RelationIndex& idx = IndexFor(rel);
-    ctx[i].positions = &idx.positions;
+    ctx[i].positions = idx.positions.data();
     ctx[i].view = instance_.Arena(rel);
     ctx[i].arity = instance_.schema().arity(rel);
     ctx[i].rows = instance_.NumRows(rel);
@@ -225,44 +216,13 @@ Status HomSearch::RunPlan(
         const HomPlan::Step& step = plan.steps[si];
         const StepCtx& sc = ctx[si];
 
-        // Candidate tuples: smallest index bucket over the bound positions,
-        // intersected with the second-smallest when the smallest is still
-        // large; full scan when nothing is bound. All buckets hold ascending
-        // tuple indexes, so the candidate order (and hence the enumeration
-        // order) does not depend on which bucket wins.
-        const std::vector<uint32_t>* bucket = nullptr;
-        if (!step.bound_positions.empty()) {
-          const std::vector<uint32_t>* smallest = nullptr;
-          const std::vector<uint32_t>* second = nullptr;
-          for (const HomPlan::BoundPos& bp : step.bound_positions) {
-            const Value v = bp.is_const ? bp.value : slots[bp.slot];
-            const auto& buckets = (*sc.positions)[bp.pos].buckets;
-            auto it = buckets.find(v);
-            if (it == buckets.end()) return true;  // no candidates at all
-            const std::vector<uint32_t>* b = &it->second;
-            if (smallest == nullptr || b->size() < smallest->size()) {
-              second = smallest;
-              smallest = b;
-            } else if (second == nullptr || b->size() < second->size()) {
-              second = b;
-            }
-          }
-          if (second != nullptr && smallest->size() > kIntersectMinBucket) {
-            std::vector<uint32_t>& buf = scratch[si];
-            buf.clear();
-            std::set_intersection(smallest->begin(), smallest->end(),
-                                  second->begin(), second->end(),
-                                  std::back_inserter(buf));
-            bucket = &buf;
-          } else {
-            bucket = smallest;
-          }
-        }
-
-        const size_t n = bucket != nullptr ? bucket->size() : sc.rows;
+        const StepCandidates cand =
+            SelectCandidates(step, sc.positions, slots, &scratch[si]);
+        if (cand.kind == StepCandidates::Kind::kDead) return true;
+        const bool scan = cand.kind == StepCandidates::Kind::kFullScan;
+        const size_t n = scan ? sc.rows : cand.rows.size();
         for (size_t k = 0; k < n; ++k) {
-          const uint32_t ti =
-              bucket != nullptr ? (*bucket)[k] : static_cast<uint32_t>(k);
+          const uint32_t ti = scan ? static_cast<uint32_t>(k) : cand.rows[k];
           ++candidates;
           const Value* tuple = sc.view.row(ti);
           bool ok = true;

@@ -42,7 +42,10 @@
 #ifndef MAPINV_EVAL_HOM_PLAN_H_
 #define MAPINV_EVAL_HOM_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "base/status.h"
@@ -134,6 +137,59 @@ struct HomPlan {
   /// The content key this plan was compiled under (set by HomSearch).
   HomPlanKey key;
 };
+
+/// Smallest-bucket scans at or below this size are not worth intersecting
+/// with the second-smallest bucket; the per-candidate checks are cheaper
+/// than the merge.
+inline constexpr size_t kIntersectMinBucket = 32;
+
+/// \brief The candidate rows of one plan step, as SelectCandidates chose
+/// them.
+struct StepCandidates {
+  enum class Kind : uint8_t {
+    kDead,      ///< a bound position's value has no bucket: no candidate
+    kFullScan,  ///< nothing is bound: every row of the relation
+    kRows,      ///< exactly `rows`
+  };
+  Kind kind;
+  std::span<const TupleRef> rows;
+};
+
+/// Candidate selection shared by both executors: the smallest index bucket
+/// over the step's bound positions (values from `slots`), intersected into
+/// `scratch` with the second-smallest when it holds more than
+/// kIntersectMinBucket rows. All buckets ascend by row ref, so the candidate
+/// order (and hence the enumeration order) does not depend on which bucket
+/// wins.
+inline StepCandidates SelectCandidates(const HomPlan::Step& step,
+                                       const PositionIndex* positions,
+                                       const Value* slots,
+                                       std::vector<TupleRef>* scratch) {
+  if (step.bound_positions.empty()) {
+    return {StepCandidates::Kind::kFullScan, {}};
+  }
+  // Every bucket is non-empty, so an empty span means "none yet".
+  std::span<const TupleRef> smallest;
+  std::span<const TupleRef> second;
+  for (const HomPlan::BoundPos& bp : step.bound_positions) {
+    const Value v = bp.is_const ? bp.value : slots[bp.slot];
+    const std::span<const TupleRef> b = positions[bp.pos].Bucket(v);
+    if (b.empty()) return {StepCandidates::Kind::kDead, {}};
+    if (smallest.empty() || b.size() < smallest.size()) {
+      second = smallest;
+      smallest = b;
+    } else if (second.empty() || b.size() < second.size()) {
+      second = b;
+    }
+  }
+  if (second.empty() || smallest.size() <= kIntersectMinBucket) {
+    return {StepCandidates::Kind::kRows, smallest};
+  }
+  scratch->clear();
+  std::set_intersection(smallest.begin(), smallest.end(), second.begin(),
+                        second.end(), std::back_inserter(*scratch));
+  return {StepCandidates::Kind::kRows, *scratch};
+}
 
 /// Builds the content key for (atoms, constraints, bound variable set).
 /// `bound_vars` must be sorted and duplicate-free.

@@ -12,10 +12,6 @@ namespace mapinv {
 
 namespace {
 
-// Keep in sync with hom.cc: smallest-bucket scans below this size are not
-// worth intersecting with the second-smallest bucket.
-constexpr size_t kIntersectMinBucket = 32;
-
 // Level matrices start small and grow geometrically up to the batch size, so
 // one-off searches with a handful of matches never pay a full-batch
 // allocation. Growth only moves flush boundaries, which the determinism
@@ -146,7 +142,7 @@ class Exec {
       size_t catchup = 0;
       const RelationIndex& idx = instance.IndexFor(rel, &catchup);
       if (vstats_ != nullptr) vstats_->index_catchup_rows += catchup;
-      ctx_[i].positions = &idx.positions;
+      ctx_[i].positions = idx.positions.data();
       ctx_[i].view = instance.Arena(rel);
       ctx_[i].arity = instance.schema().arity(rel);
       ctx_[i].rows = instance.NumRows(rel);
@@ -243,7 +239,7 @@ class Exec {
     Instance::ArenaView view;
     uint32_t arity = 0;
     size_t rows = 0;
-    const std::vector<PositionIndex>* positions = nullptr;
+    const PositionIndex* positions = nullptr;
   };
   /// One level of the expansion pipeline: a slot matrix of pending rows.
   struct Level {
@@ -311,50 +307,17 @@ class Exec {
     const Instance::ArenaView view = sc.view;
     for (size_t p = 0; p < lvl.rows && !stop_; ++p) {
       const Value* parent = lvl.matrix.data() + p * num_slots_;
-      // Candidate selection mirrors the scalar executor: smallest bucket
-      // over the bound positions, intersected with the second-smallest when
-      // still large; full scan when nothing is bound. All candidate orders
-      // ascend by tuple index, so the choice never shows in the output.
-      const std::vector<uint32_t>* bucket = nullptr;
-      bool dead = false;
-      if (!sp.step->bound_positions.empty()) {
-        const std::vector<uint32_t>* smallest = nullptr;
-        const std::vector<uint32_t>* second = nullptr;
-        for (const HomPlan::BoundPos& bp : sp.step->bound_positions) {
-          const Value v = bp.is_const ? bp.value : parent[bp.slot];
-          const auto& buckets = (*sc.positions)[bp.pos].buckets;
-          auto it = buckets.find(v);
-          if (it == buckets.end()) {
-            dead = true;
-            break;
-          }
-          const std::vector<uint32_t>* b = &it->second;
-          if (smallest == nullptr || b->size() < smallest->size()) {
-            second = smallest;
-            smallest = b;
-          } else if (second == nullptr || b->size() < second->size()) {
-            second = b;
-          }
-        }
-        if (dead) continue;
-        if (second != nullptr && smallest->size() > kIntersectMinBucket) {
-          scr.isect.clear();
-          std::set_intersection(smallest->begin(), smallest->end(),
-                                second->begin(), second->end(),
-                                std::back_inserter(scr.isect));
-          bucket = &scr.isect;
-        } else {
-          bucket = smallest;
-        }
-      }
-      const size_t total = bucket != nullptr ? bucket->size() : sc.rows;
+      const StepCandidates cand =
+          SelectCandidates(*sp.step, sc.positions, parent, &scr.isect);
+      if (cand.kind == StepCandidates::Kind::kDead) continue;
+      const bool scan = cand.kind == StepCandidates::Kind::kFullScan;
+      const size_t total = scan ? sc.rows : cand.rows.size();
       for (size_t off = 0; off < total && !stop_; off += batch_) {
         const size_t block = std::min(batch_, total - off);
         MAPINV_RETURN_NOT_OK(Poll());
         scr.refs.resize(block);
-        if (bucket != nullptr) {
-          std::copy(bucket->begin() + off, bucket->begin() + off + block,
-                    scr.refs.begin());
+        if (!scan) {
+          std::copy_n(cand.rows.begin() + off, block, scr.refs.begin());
         } else {
           for (size_t i = 0; i < block; ++i) {
             scr.refs[i] = static_cast<uint32_t>(off + i);

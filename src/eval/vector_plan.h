@@ -14,7 +14,8 @@
 ///     vector_batch, default 1024; 0 runs one-row blocks) — from the pinned
 ///     relation's arena slice for the chase's chunked premise scan, or from
 ///     the step's smallest index bucket (intersected with the second-smallest
-///     exactly like the scalar runner) during join expansion;
+///     by SelectCandidates, the helper the scalar runner calls too) during
+///     join expansion;
 ///   * each micro-op becomes one tight loop over the block's selection
 ///     vector of surviving candidate refs: constant and inequality checks
 ///     compare one arena column against one broadcast value (or a second

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +248,66 @@ TEST(ParallelChaseTest, SOChaseMatchesSequential) {
       EXPECT_EQ(chase(threads), sequential)
           << "seed = " << seed << " threads = " << threads;
     }
+  }
+}
+
+// Searches on several threads race to catch one grown store's index up:
+// half of them search the instance and half a snapshot sharing its store.
+// One thread appends the new rows under the store's mutex, moving bucket
+// runs inside the flat pool, while the others wait; then all of them read
+// the same buckets. Rows are indexed exactly once per round. The TSan
+// preset runs this.
+TEST(ParallelChaseTest, ConcurrentSearchesShareOneIndexCatchUp) {
+  const TgdMapping mapping =
+      ParseTgdMapping("R(x,y), R(y,z) -> S(x,z)").ValueOrDie();
+  const std::vector<Atom>& atoms = mapping.tgds[0].premise;
+  const VarId x = atoms[0].terms[0].var();
+  Instance inst(mapping.source);
+  const RelationId r = mapping.source->Find("R");
+  std::vector<std::pair<int, int>> rows;
+  for (int round = 0; round < 4; ++round) {
+    const size_t before = rows.size();
+    for (int i = 250 * round; i < 250 * (round + 1); ++i) {
+      const std::pair<int, int> row{i % 13, (i / 13) % 50};
+      if (*inst.AddInts("R", {row.first, row.second})) rows.push_back(row);
+    }
+    // Homomorphisms with x = c: pairs of rows (c, y), (y, z).
+    std::vector<size_t> expected(13, 0);
+    for (const auto& [a, b] : rows) {
+      for (const auto& [c, d] : rows) {
+        if (b == c) ++expected[a];
+      }
+    }
+    const Instance snapshot = inst.Snapshot();
+    ExecStats stats;
+    std::vector<std::vector<size_t>> counts(4, std::vector<size_t>(13, 0));
+    std::atomic<size_t> arrived{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < counts.size(); ++t) {
+      threads.emplace_back([&, t] {
+        HomSearch search(t % 2 == 0 ? inst : snapshot);
+        search.set_stats(&stats);
+        // Start together, so the first searches race to the catch-up.
+        arrived.fetch_add(1);
+        while (arrived.load() < counts.size()) std::this_thread::yield();
+        for (int c = 0; c < 13; ++c) {
+          const Status status = search.ForEachHom(
+              atoms, HomConstraints{}, Assignment{{x, Value::Int(c)}},
+              [&](const Assignment&) {
+                ++counts[t][c];
+                return true;
+              });
+          ASSERT_TRUE(status.ok()) << status.ToString();
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < counts.size(); ++t) {
+      EXPECT_EQ(counts[t], expected) << "round " << round << " thread " << t;
+    }
+    EXPECT_EQ(stats.index_catchup_rows.load(), rows.size() - before)
+        << "round " << round;
+    EXPECT_EQ(inst.NumRows(r), rows.size());
   }
 }
 

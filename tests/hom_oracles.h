@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,7 +110,8 @@ inline Status ReferenceForEachHom(
 
     // Candidate tuples: the index bucket of the first bound position, else
     // the whole relation.
-    const std::vector<uint32_t>* bucket = nullptr;
+    std::span<const TupleRef> bucket;
+    bool have_bucket = false;
     std::vector<uint32_t> all;
     for (uint32_t p = 0; p < atom.terms.size(); ++p) {
       const Term& t = atom.terms[p];
@@ -123,21 +125,20 @@ inline Status ReferenceForEachHom(
         have = true;
       }
       if (have) {
-        const auto& buckets =
-            instance.IndexFor(best->relation).positions[p].buckets;
-        auto it = buckets.find(bound_value);
-        bucket = it == buckets.end() ? &all : &it->second;  // &all: empty
+        bucket =
+            instance.IndexFor(best->relation).positions[p].Bucket(bound_value);
+        have_bucket = true;
         break;
       }
     }
-    if (bucket == nullptr) {
+    if (!have_bucket) {
       all.resize(rows);
       for (uint32_t i = 0; i < rows; ++i) all[i] = i;
-      bucket = &all;
+      bucket = all;
     }
 
     bool keep_going = true;
-    for (uint32_t idx : *bucket) {
+    for (uint32_t idx : bucket) {
       // A 0-ary relation stores no values, so there is no row to read.
       const Value* tuple = atom.terms.empty() ? nullptr : view.row(idx);
       std::vector<VarId> newly_bound;
